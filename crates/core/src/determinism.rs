@@ -143,15 +143,8 @@ pub struct AnalysisOptions {
     /// must see it. Off by default; a compiler diagnostic is recorded for
     /// every `latest` either way.
     pub model_latest: bool,
-    /// Worker threads for permutation exploration. `1` (the default) runs
-    /// the exact sequential traversal, preserving its exploration
-    /// statistics bit-for-bit; larger values split the interleaving tree
-    /// into prefix subtrees explored by work-stealing workers with a
-    /// shared state cache and per-worker solver contexts. The verdict is
-    /// identical for every value (see [`crate::parallel`]); *scheduling*
-    /// counters (`sequences_skipped`, `state_cache_hits`, solver work)
-    /// may vary run-to-run when `threads > 1`. Deliberately **excluded**
-    /// from the fleet verdict-cache key: it cannot change verdicts.
+    /// Accepted for compatibility and ignored: exploration is always
+    /// sequential.
     pub threads: usize,
 }
 
@@ -195,13 +188,6 @@ impl AnalysisOptions {
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> AnalysisOptions {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Sets the explorer's worker-thread count (`0` is clamped to `1`).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> AnalysisOptions {
-        self.threads = threads.max(1);
         self
     }
 }
@@ -533,11 +519,8 @@ struct EarlyExit {
     model: ModelView,
 }
 
-/// The purely structural part of the POR explorer: predecessor masks,
-/// descendant cones, and the pairwise commutativity mask. Depends only on
-/// the graph (never on an encoder), so it is computed once and shared by
-/// reference across every parallel worker.
-pub(crate) struct ExploreShape {
+struct Explorer<'a> {
+    graph: &'a FsGraph,
     /// Per-node predecessor mask (for the word-parallel fringe test).
     preds: Vec<Bits>,
     /// Per-node descendant cone.
@@ -545,16 +528,29 @@ pub(crate) struct ExploreShape {
     /// `commute_mask[e]`: the nodes whose access summaries commute with
     /// `e`'s (empty masks when the commutativity reduction is off).
     commute_mask: Vec<Bits>,
-    /// Whether the partial-order reduction is on.
-    commutativity: bool,
+    options: &'a AnalysisOptions,
+    deadline: Option<Instant>,
+    /// One representative (sequence, final state) per *distinct* symbolic
+    /// output state (content-hash dedup: structurally identical outputs
+    /// collapse before any `states_differ` disjunct exists).
+    outputs: Vec<(Vec<usize>, SymState)>,
+    seen_outputs: HashMap<StateKey, usize>,
+    /// Completed subtrees: `(remaining, state)` → sequences covered.
+    visited: HashMap<VisitKey, u64>,
+    /// Sequences covered, including cache-hit skips.
+    explored: u64,
+    /// Of `explored`, sequences covered via cache hits.
+    skipped: u64,
+    cache_hits: u64,
 }
 
-impl ExploreShape {
-    pub(crate) fn new(
-        graph: &FsGraph,
-        commutativity: bool,
+impl<'a> Explorer<'a> {
+    fn new(
+        graph: &'a FsGraph,
+        options: &'a AnalysisOptions,
+        deadline: Option<Instant>,
         oracle: Option<&crate::footprint::CommuteOracle>,
-    ) -> ExploreShape {
+    ) -> Self {
         let n = graph.exprs.len();
         let to_bits = |sets: Vec<BTreeSet<usize>>| -> Vec<Bits> {
             sets.iter()
@@ -574,7 +570,7 @@ impl ExploreShape {
             }
             out
         };
-        let commute_mask = if commutativity {
+        let commute_mask = if options.commutativity {
             let summaries: Vec<Arc<AccessSummary>> =
                 graph.exprs.iter().map(|&e| accesses(e)).collect();
             let mut masks = vec![Bits::new(n); n];
@@ -599,11 +595,19 @@ impl ExploreShape {
         } else {
             vec![Bits::new(n); n]
         };
-        ExploreShape {
+        Explorer {
+            graph,
             preds,
             descendants: to_bits(graph.descendant_sets()),
             commute_mask,
-            commutativity,
+            options,
+            deadline,
+            outputs: Vec::new(),
+            seen_outputs: HashMap::new(),
+            visited: HashMap::new(),
+            explored: 0,
+            skipped: 0,
+            cache_hits: 0,
         }
     }
 
@@ -628,13 +632,13 @@ impl ExploreShape {
 
     /// The fringe of `remaining` (fig. 9a), reduced to a single committed
     /// node when partial-order reduction applies.
-    pub(crate) fn branch_candidates(&self, remaining: &Bits) -> Vec<usize> {
+    fn branch_candidates(&self, remaining: &Bits) -> Vec<usize> {
         let fringe: Vec<usize> = remaining
             .iter()
             .filter(|&i| !self.preds[i].intersects(remaining))
             .collect();
         debug_assert!(!fringe.is_empty(), "acyclic graph always has a fringe");
-        if self.commutativity {
+        if self.options.commutativity {
             for &e in &fringe {
                 if self.all_concurrent_commute(remaining, e) {
                     return vec![e];
@@ -642,47 +646,6 @@ impl ExploreShape {
             }
         }
         fringe
-    }
-}
-
-struct Explorer<'a> {
-    graph: &'a FsGraph,
-    shape: ExploreShape,
-    options: &'a AnalysisOptions,
-    deadline: Option<Instant>,
-    /// One representative (sequence, final state) per *distinct* symbolic
-    /// output state (content-hash dedup: structurally identical outputs
-    /// collapse before any `states_differ` disjunct exists).
-    outputs: Vec<(Vec<usize>, SymState)>,
-    seen_outputs: HashMap<StateKey, usize>,
-    /// Completed subtrees: `(remaining, state)` → sequences covered.
-    visited: HashMap<VisitKey, u64>,
-    /// Sequences covered, including cache-hit skips.
-    explored: u64,
-    /// Of `explored`, sequences covered via cache hits.
-    skipped: u64,
-    cache_hits: u64,
-}
-
-impl<'a> Explorer<'a> {
-    fn new(
-        graph: &'a FsGraph,
-        options: &'a AnalysisOptions,
-        deadline: Option<Instant>,
-        oracle: Option<&crate::footprint::CommuteOracle>,
-    ) -> Self {
-        Explorer {
-            graph,
-            shape: ExploreShape::new(graph, options.commutativity, oracle),
-            options,
-            deadline,
-            outputs: Vec::new(),
-            seen_outputs: HashMap::new(),
-            visited: HashMap::new(),
-            explored: 0,
-            skipped: 0,
-            cache_hits: 0,
-        }
     }
 
     fn check_budget(&self) -> Result<(), AnalysisAborted> {
@@ -815,7 +778,7 @@ impl<'a> Explorer<'a> {
                     top.key = Some(key);
                 }
                 top.explored_at_entry = self.explored;
-                let candidates = self.shape.branch_candidates(&top.remaining);
+                let candidates = self.branch_candidates(&top.remaining);
                 let top = stack.last_mut().expect("non-empty stack");
                 top.candidates = candidates;
             }
@@ -905,12 +868,7 @@ pub fn check_determinism_with_oracle(
     };
 
     // 3+4. Encode, explore (bitset POR + state cache + early exit), and
-    //    decide. `--threads 1` runs the exact historical sequential loop
-    //    (identical traversal order and statistics); `--threads N` splits
-    //    the interleaving tree into prefix subtrees explored by
-    //    work-stealing workers (see [`crate::parallel`]) with a shared
-    //    state cache and per-worker solver contexts. Both paths reduce a
-    //    divergence to the same evidence: a concrete initial filesystem
+    //    decide. A divergence reduces to a concrete initial filesystem
     //    plus two pruned-graph orders.
     let explore_span = rehearsal_trace::span_cat("explore", "core");
     let domain = Domain::of_exprs(pruned.exprs.iter().copied());
@@ -925,90 +883,70 @@ pub fn check_determinism_with_oracle(
         ..DeterminismStats::default()
     };
 
-    let divergence: Option<(FileSystem, Vec<usize>, Vec<usize>)> = if options.threads <= 1 {
-        let mut enc = Encoder::new(domain);
-        for &p in &read_only {
-            enc.mark_read_only(p);
-        }
-        let initial = enc.initial_state();
-        let mut explorer = Explorer::new(&pruned, options, deadline, oracle);
-        let early = explorer.run(&mut enc, initial.clone())?;
-        let outputs = explorer.outputs;
+    let mut enc = Encoder::new(domain);
+    for &p in &read_only {
+        enc.mark_read_only(p);
+    }
+    let initial = enc.initial_state();
+    let mut explorer = Explorer::new(&pruned, options, deadline, oracle);
+    let early = explorer.run(&mut enc, initial.clone())?;
+    let outputs = explorer.outputs;
 
-        stats.tracked_paths = enc.tracked_paths();
-        stats.sequences_explored = explorer.explored as usize;
-        stats.sequences_skipped = explorer.skipped as usize;
-        stats.state_cache_hits = explorer.cache_hits as usize;
-        stats.distinct_outputs = outputs.len();
+    stats.tracked_paths = enc.tracked_paths();
+    stats.sequences_explored = explorer.explored as usize;
+    stats.sequences_skipped = explorer.skipped as usize;
+    stats.state_cache_hits = explorer.cache_hits as usize;
+    stats.distinct_outputs = outputs.len();
 
-        // All outputs equal to the first ⟺ deterministic. With early exit
-        // on, every distinct output was already checked incrementally as
-        // it was found; otherwise fall back to one monolithic query.
-        let divergence: Option<(usize, ModelView)> = match early {
-            Some(exit) => Some((exit.which, exit.model)),
-            None if options.early_exit || outputs.len() <= 1 => None,
-            None => {
-                let _span = rehearsal_trace::span_cat("solve.final", "core");
-                let first_state = &outputs[0].1;
-                let mut disjuncts = Vec::new();
-                for (_, other_state) in &outputs[1..] {
-                    let d = enc.states_differ(first_state, other_state);
-                    disjuncts.push(d);
-                }
-                let any_diff = enc.ctx.or(disjuncts.clone());
-                let solved = enc
-                    .ctx
-                    .solve_with_budget(any_diff, deadline, interrupt_flag(options))
-                    .map_err(|_| solve_abort_reason(options))?;
-                solved.map(|model| {
-                    // Find which alternative differed.
-                    let mut which = 1;
-                    for (k, d) in disjuncts.iter().enumerate() {
-                        if model.formula_value_in(&enc.ctx, *d) {
-                            which = k + 1;
-                            break;
-                        }
-                    }
-                    (which, model)
-                })
+    // All outputs equal to the first ⟺ deterministic. With early exit
+    // on, every distinct output was already checked incrementally as
+    // it was found; otherwise fall back to one monolithic query.
+    let divergence: Option<(usize, ModelView)> = match early {
+        Some(exit) => Some((exit.which, exit.model)),
+        None if options.early_exit || outputs.len() <= 1 => None,
+        None => {
+            let _span = rehearsal_trace::span_cat("solve.final", "core");
+            let first_state = &outputs[0].1;
+            let mut disjuncts = Vec::new();
+            for (_, other_state) in &outputs[1..] {
+                let d = enc.states_differ(first_state, other_state);
+                disjuncts.push(d);
             }
-        };
-
-        stats.formula_nodes = enc.ctx.stats().formula_nodes;
-        let solver = enc.ctx.solver_stats();
-        stats.solver_conflicts = solver.conflicts;
-        stats.solver_propagations = solver.propagations;
-        let grounding = enc.ctx.grounding_stats();
-        stats.grounded_clauses = grounding.grounded_clauses;
-        stats.grounded_nodes = grounding.grounded_nodes;
-        stats.grounded_reused = grounding.reused_nodes;
-        // Phase boundary: the hot loops above kept local counters; the
-        // registry sees them exactly once, here.
-        enc.ctx.publish_trace_metrics();
-
-        divergence.map(|(which, model)| {
-            let init_fs = enc.decode_state(&model, &initial);
-            (init_fs, outputs[0].0.clone(), outputs[which].0.clone())
-        })
-    } else {
-        let shape = ExploreShape::new(&pruned, options.commutativity, oracle);
-        let outcome = crate::parallel::explore_parallel(
-            &pruned, options, deadline, &shape, &domain, &read_only,
-        )?;
-        stats.tracked_paths = outcome.tracked_paths;
-        stats.sequences_explored = outcome.explored as usize;
-        stats.sequences_skipped = outcome.skipped as usize;
-        stats.state_cache_hits = outcome.cache_hits as usize;
-        stats.distinct_outputs = outcome.distinct_outputs;
-        stats.formula_nodes = outcome.ctx.formula_nodes;
-        stats.solver_conflicts = outcome.solver_conflicts;
-        stats.solver_propagations = outcome.solver_propagations;
-        stats.grounded_clauses = outcome.grounding.grounded_clauses;
-        stats.grounded_nodes = outcome.grounding.grounded_nodes;
-        stats.grounded_reused = outcome.grounding.reused_nodes;
-        outcome.publish_trace_metrics();
-        outcome.divergence
+            let any_diff = enc.ctx.or(disjuncts.clone());
+            let solved = enc
+                .ctx
+                .solve_with_budget(any_diff, deadline, interrupt_flag(options))
+                .map_err(|_| solve_abort_reason(options))?;
+            solved.map(|model| {
+                // Find which alternative differed.
+                let mut which = 1;
+                for (k, d) in disjuncts.iter().enumerate() {
+                    if model.formula_value_in(&enc.ctx, *d) {
+                        which = k + 1;
+                        break;
+                    }
+                }
+                (which, model)
+            })
+        }
     };
+
+    stats.formula_nodes = enc.ctx.stats().formula_nodes;
+    let solver = enc.ctx.solver_stats();
+    stats.solver_conflicts = solver.conflicts;
+    stats.solver_propagations = solver.propagations;
+    let grounding = enc.ctx.grounding_stats();
+    stats.grounded_clauses = grounding.grounded_clauses;
+    stats.grounded_nodes = grounding.grounded_nodes;
+    stats.grounded_reused = grounding.reused_nodes;
+    // Phase boundary: the hot loops above kept local counters; the
+    // registry sees them exactly once, here.
+    enc.ctx.publish_trace_metrics();
+
+    let divergence = divergence.map(|(which, model)| {
+        let init_fs = enc.decode_state(&model, &initial);
+        (init_fs, outputs[0].0.clone(), outputs[which].0.clone())
+    });
     drop(explore_span);
 
     stats.publish_trace_metrics();
@@ -1336,84 +1274,6 @@ mod tests {
         let g2 = graph(vec![res("0644"), res("0755")], &[(0, 1)]);
         let r2 = check_determinism(&g2, &AnalysisOptions::default()).unwrap();
         assert!(r2.is_deterministic());
-    }
-
-    #[test]
-    fn parallel_verdict_and_invariant_counters_match_sequential() {
-        // A deterministic graph with a genuinely branching interleaving
-        // space: naive mode keeps all 4! = 24 orders live.
-        let g = graph(
-            vec![
-                file("/a", "1"),
-                file("/b", "2"),
-                file("/c", "3"),
-                file("/d", "4"),
-            ],
-            &[],
-        );
-        let seq = check_determinism(&g, &AnalysisOptions::naive()).unwrap();
-        assert!(seq.is_deterministic());
-        let s1 = seq.stats();
-        assert_eq!(s1.sequences_explored, 24);
-        for threads in [2, 4, 8] {
-            let par =
-                check_determinism(&g, &AnalysisOptions::naive().with_threads(threads)).unwrap();
-            assert!(
-                par.is_deterministic(),
-                "verdict invariant at {threads} threads"
-            );
-            let sp = par.stats();
-            // The exact counters: every leaf is accounted exactly once no
-            // matter how the subtrees were scheduled.
-            assert_eq!(sp.sequences_explored, s1.sequences_explored);
-            assert_eq!(sp.distinct_outputs, s1.distinct_outputs);
-            assert_eq!(sp.resources, s1.resources);
-            assert_eq!(
-                sp.resources_after_elimination,
-                s1.resources_after_elimination
-            );
-            assert_eq!(sp.paths, s1.paths);
-            assert_eq!(sp.tracked_paths, s1.tracked_paths);
-        }
-    }
-
-    #[test]
-    fn parallel_nondeterminism_yields_replayable_counterexample() {
-        let a = Expr::mkdir(p("/dir"));
-        let b = file("/dir/f", "x");
-        let g = graph(vec![a, b], &[]);
-        for threads in [2, 4] {
-            let opts = AnalysisOptions::default().with_threads(threads);
-            match check_determinism(&g, &opts).unwrap() {
-                DeterminismReport::NonDeterministic(cex, _) => {
-                    assert_ne!(cex.outcome_a, cex.outcome_b, "replay confirms divergence");
-                }
-                DeterminismReport::Deterministic(_) => {
-                    panic!("parallel explorer must find the race at {threads} threads")
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_sequence_cap_aborts() {
-        let exprs: Vec<Expr> = (0..6)
-            .map(|i| {
-                Expr::if_(
-                    Pred::does_not_exist(p("/f")),
-                    Expr::create_file(p("/f"), Content::intern(&format!("w{i}"))),
-                    Expr::SKIP,
-                )
-            })
-            .collect();
-        let g = graph(exprs, &[]);
-        let opts = AnalysisOptions {
-            max_sequences: 10,
-            ..AnalysisOptions::naive()
-        }
-        .with_threads(4);
-        let err = check_determinism(&g, &opts).unwrap_err();
-        assert!(err.reason.contains("sequences"));
     }
 
     #[test]

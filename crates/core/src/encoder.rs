@@ -103,30 +103,6 @@ impl Encoder {
         }
     }
 
-    /// A 128-bit context-independent digest of a symbolic state.
-    ///
-    /// [`StateKey`]s are handle tuples, so they only match within one
-    /// context. The digest instead mixes the *structural* digests of the
-    /// `ok` formula and of every path (and metadata) term in domain
-    /// order, which is fixed per domain — so two encoders for the same
-    /// domain that evaluated the same operation sequence produce the same
-    /// digest. This is the shared-cache key for the parallel explorer.
-    pub fn state_digest(&mut self, state: &SymState) -> u128 {
-        // FNV-128 offset basis / prime, matching the solver's digests.
-        const SEED: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-        let mut d = (SEED ^ self.ctx.formula_digest(state.ok)).wrapping_mul(PRIME);
-        for &t in state.fs.values() {
-            d = (d ^ self.ctx.term_digest(t)).wrapping_mul(PRIME);
-        }
-        for fields in state.meta.values() {
-            for &t in fields.iter() {
-                d = (d ^ self.ctx.term_digest(t)).wrapping_mul(PRIME);
-            }
-        }
-        d
-    }
-
     /// Marks a path as read-only (its writes have been pruned away).
     pub fn mark_read_only(&mut self, p: FsPath) {
         self.read_only.insert(p);

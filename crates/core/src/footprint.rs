@@ -64,7 +64,7 @@ static EXPR_DIGESTS: ExprMemo<u64> = ExprMemo::new("memo.digest.hits", "memo.dig
 /// The structural digest of a predicate (see [`expr_digest`]).
 ///
 /// Memoized in a lock-striped [`ShardedMap`], so digest probes from many
-/// fleet workers and explorer threads stop serializing on one lock.
+/// fleet workers stop serializing on one lock.
 pub fn pred_digest(p: Pred) -> u64 {
     let table = PRED_DIGESTS.get_or_init(ShardedMap::new);
     let (d, _) = table.get_or_insert_with(p, || compute_pred_digest(p));
@@ -350,8 +350,7 @@ fn collect_pred_meta_paths(p: Pred, out: &mut BTreeSet<FsPath>) {
 /// affects wall time and the `pairs_reused` counter, never verdicts.
 ///
 /// Thread-safe: one oracle is shared across a job's analysis stages, and
-/// the pair store is lock-striped so parallel explorer threads probing
-/// different pairs do not contend.
+/// the pair store is a lock-striped [`ShardedMap`].
 #[derive(Debug, Default)]
 pub struct CommuteOracle {
     pairs: ShardedMap<(u64, u64), bool>,

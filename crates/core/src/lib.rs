@@ -47,7 +47,6 @@ pub mod footprint;
 pub mod idempotence;
 pub mod invariants;
 mod memo;
-pub mod parallel;
 pub mod pipeline;
 pub mod prune;
 pub mod repair;

@@ -13,8 +13,8 @@
 //! and in the arena together).
 //!
 //! Tables are backed by [`rehearsal_sync::ShardedMap`], so concurrent
-//! probes from explorer threads and fleet workers stripe across
-//! independent locks instead of serializing on one `Mutex`.
+//! probes from fleet workers stripe across independent locks instead of
+//! serializing on one `Mutex`.
 
 use rehearsal_fs::Expr;
 use rehearsal_sync::ShardedMap;

@@ -154,7 +154,6 @@ mod tests {
             rows: vec![row(vec![race_diag(), warn, note])],
             wall_millis: 1,
             jobs: 1,
-            threads: 1,
             steals: 0,
             max_queue_depth: 1,
             metrics: rehearsal_trace::MetricsSnapshot::default(),
@@ -183,7 +182,6 @@ mod tests {
             rows: vec![row(vec![race_diag()]), row(Vec::new())],
             wall_millis: 1,
             jobs: 1,
-            threads: 1,
             steals: 0,
             max_queue_depth: 1,
             metrics: rehearsal_trace::MetricsSnapshot::default(),
@@ -195,7 +193,6 @@ mod tests {
             rows: vec![row(Vec::new())],
             wall_millis: 1,
             jobs: 1,
-            threads: 1,
             steals: 0,
             max_queue_depth: 1,
             metrics: rehearsal_trace::MetricsSnapshot::default(),

@@ -49,10 +49,8 @@ pub struct FleetJob {
 pub struct FleetOptions {
     /// Worker threads; `0` means one per available CPU.
     pub jobs: usize,
-    /// Explorer threads *per manifest job*; `0` means "divide what's
-    /// left": the run gives each job `max(1, cores / jobs)` explorer
-    /// threads (see [`resolve_core_split`]), so `--jobs`/`--threads`
-    /// never oversubscribe the machine between them.
+    /// Accepted for compatibility and ignored: each job explores on its
+    /// worker thread, so `jobs` is the only multi-core setting.
     pub threads: usize,
     /// Analysis options applied to every job. `analysis.timeout` acts as
     /// the per-job deadline across both pipeline stages.
@@ -72,13 +70,6 @@ impl FleetOptions {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> FleetOptions {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the per-job explorer thread count (`0` = auto-split).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> FleetOptions {
-        self.threads = threads;
         self
     }
 
@@ -113,37 +104,6 @@ impl FleetOptions {
                 .map(|n| n.get())
                 .unwrap_or(1)
         }
-    }
-}
-
-/// Divides `cores` between manifest-level jobs and per-manifest explorer
-/// threads so the two never oversubscribe the machine multiplicatively.
-/// `0` means "auto" for either request:
-///
-/// * both auto — one job per manifest up to the core count, remaining
-///   cores become explorer threads (`manifests ≥ cores` therefore
-///   reproduces the historical `jobs = cores, threads = 1` default);
-/// * `--jobs J` alone — the leftover `cores / J` become threads;
-/// * `--threads T` alone — the leftover `cores / T` become jobs;
-/// * both given — honored verbatim unless `J × T > cores`, in which case
-///   the thread request is scaled down to `max(1, cores / J)` (jobs win:
-///   cross-manifest parallelism has no shared state to contend on).
-pub fn resolve_core_split(
-    cores: usize,
-    jobs_req: usize,
-    threads_req: usize,
-    manifests: usize,
-) -> (usize, usize) {
-    let cores = cores.max(1);
-    match (jobs_req, threads_req) {
-        (0, 0) => {
-            let jobs = cores.min(manifests.max(1));
-            (jobs, (cores / jobs).max(1))
-        }
-        (j, 0) => (j, (cores / j).max(1)),
-        (0, t) => ((cores / t).max(1), t),
-        (j, t) if j.saturating_mul(t) > cores => (j, (cores / j).max(1)),
-        (j, t) => (j, t),
     }
 }
 
@@ -419,23 +379,7 @@ impl FleetEngine {
             slots.push((i, job.name, job.platform));
         }
 
-        // Split the machine between manifest jobs and per-manifest
-        // explorer threads. `threads` rides into every job's
-        // `AnalysisOptions` — it can never change a verdict, so it stays
-        // out of the cache fingerprint (set after lowering on purpose).
-        let (workers, threads) = resolve_core_split(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            self.options.jobs,
-            self.options.threads,
-            pending.len(),
-        );
-        let analysis = {
-            let mut a = analysis;
-            a.threads = threads;
-            a
-        };
+        let workers = self.options.effective_workers().min(pending.len()).max(1);
 
         // Analyze the misses in parallel. When the caller has a trace
         // session installed, each job gets its *own* session (installed
@@ -548,7 +492,6 @@ impl FleetEngine {
         fleet_reg.counter_add("fleet.steals", sched.steals);
         fleet_reg.gauge_max("fleet.queue_depth_max", sched.max_queue_depth as i64);
         fleet_reg.gauge_max("fleet.workers", workers as i64);
-        fleet_reg.gauge_max("fleet.threads_per_job", threads as i64);
         for row in rows.iter().filter(|r| !r.cached && !r.phases.is_empty()) {
             fleet_reg.observe("fleet.job_queue_ms", row.queue_ms);
             fleet_reg.observe("fleet.job_run_ms", row.run_ms);
@@ -578,7 +521,6 @@ impl FleetEngine {
             rows,
             wall_millis: start.elapsed().as_millis() as u64,
             jobs: workers,
-            threads,
             steals: sched.steals,
             max_queue_depth: sched.max_queue_depth,
             metrics: fleet_metrics,
@@ -964,27 +906,6 @@ mod tests {
             source: source.to_string(),
             platform: Platform::Ubuntu,
         }
-    }
-
-    #[test]
-    fn core_split_covers_every_request_shape() {
-        // Both auto: one job per manifest up to the core count, leftover
-        // cores become explorer threads.
-        assert_eq!(resolve_core_split(8, 0, 0, 2), (2, 4));
-        // Historical default: more manifests than cores → jobs = cores,
-        // threads = 1.
-        assert_eq!(resolve_core_split(4, 0, 0, 100), (4, 1));
-        // --jobs alone: leftover cores divided into threads.
-        assert_eq!(resolve_core_split(8, 2, 0, 100), (2, 4));
-        // --threads alone: leftover cores divided into jobs.
-        assert_eq!(resolve_core_split(8, 0, 4, 100), (2, 4));
-        // Both given and they fit: honored verbatim.
-        assert_eq!(resolve_core_split(8, 2, 3, 100), (2, 3));
-        // Oversubscribed: jobs win, threads scale down.
-        assert_eq!(resolve_core_split(4, 4, 4, 100), (4, 1));
-        // Degenerate single core never yields zero of either.
-        assert_eq!(resolve_core_split(1, 0, 0, 3), (1, 1));
-        assert_eq!(resolve_core_split(1, 0, 8, 3), (1, 8));
     }
 
     #[test]

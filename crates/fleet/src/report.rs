@@ -204,9 +204,6 @@ pub struct FleetReport {
     pub wall_millis: u64,
     /// Worker threads used.
     pub jobs: usize,
-    /// Explorer threads each job's analysis ran with (the resolved
-    /// `--jobs`/`--threads` core split).
-    pub threads: usize,
     /// Successful work steals between workers during the run.
     pub steals: u64,
     /// Deepest any worker's queue got (right after deal-out).
@@ -245,11 +242,7 @@ impl FleetReport {
     /// Renders the human-readable table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "workers: {} × {} explorer thread(s)\n",
-            self.jobs,
-            self.threads.max(1)
-        ));
+        out.push_str(&format!("workers: {}\n", self.jobs));
         out.push_str(&format!(
             "{:<34} {:<8} {:<17} {:>6} {:>8} {:>9}  detail\n",
             "manifest", "platform", "verdict", "res", "queue", "time"
@@ -667,7 +660,6 @@ mod tests {
             ],
             wall_millis: 12,
             jobs: 2,
-            threads: 1,
             steals: 0,
             max_queue_depth: 2,
             metrics: rehearsal_trace::MetricsSnapshot::default(),
@@ -702,7 +694,6 @@ mod tests {
             rows: vec![row(Verdict::Deterministic, false)],
             wall_millis: 7,
             jobs: 1,
-            threads: 1,
             steals: 2,
             max_queue_depth: 1,
             metrics: rehearsal_trace::MetricsSnapshot::default(),
@@ -763,14 +754,11 @@ mod tests {
             rows: vec![row(Verdict::Deterministic, false)],
             wall_millis: 7,
             jobs: 6,
-            threads: 2,
             steals: 0,
             max_queue_depth: 1,
             metrics: rehearsal_trace::MetricsSnapshot::default(),
         };
-        assert!(report
-            .render_table()
-            .starts_with("workers: 6 × 2 explorer thread(s)\n"));
+        assert!(report.render_table().starts_with("workers: 6\n"));
     }
 
     #[test]

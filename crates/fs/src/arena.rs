@@ -25,9 +25,10 @@
 //!
 //! The store is lock-striped: nodes are hash-routed across `N_SHARDS`
 //! independently locked shards, and a handle encodes its shard in the
-//! low `SHARD_BITS` bits (`id = local << SHARD_BITS | shard`). Ids remain process-stable and `Copy`; explorer threads and
-//! fleet workers touching different subtrees intern and probe without
-//! contending on a single lock word. Lock acquisitions that find their
+//! low `SHARD_BITS` bits (`id = local << SHARD_BITS | shard`). Ids
+//! remain process-stable and `Copy`; fleet jobs and serve workers
+//! touching different subtrees intern and probe without contending on a
+//! single lock word. Lock acquisitions that find their
 //! shard held are counted and surfaced as the `arena.shard_contention`
 //! trace gauge, so profiles show whether the stripe count is adequate.
 //! The four IR constants (`Pred::TRUE`/`FALSE`, `Expr::SKIP`/`ERROR`)

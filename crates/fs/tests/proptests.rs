@@ -322,3 +322,57 @@ fn structural_accessors() {
         );
     }
 }
+
+/// Eight raw threads intern overlapping paths, contents, and composite
+/// expressions into the global sharded arena. Interning is canonical:
+/// equal data must yield the same Copy id on every thread, and ids handed
+/// out during the race must still resolve to structurally equal programs
+/// afterwards.
+#[test]
+fn sharded_arena_survives_concurrent_interning() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 200;
+    let results: Vec<Vec<Expr>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut exprs = Vec::with_capacity(ROUNDS);
+                    for r in 0..ROUNDS {
+                        // Every thread builds the same program for round
+                        // `r`; only the interning order races.
+                        let path =
+                            FsPath::parse(&format!("/stress/d{}/f{}", r % 7, r % 13)).unwrap();
+                        let content = Content::intern(&format!("payload-{}", r % 11));
+                        let e = Expr::if_(
+                            Pred::does_not_exist(path),
+                            Expr::create_file(path, content),
+                            Expr::rm(path).seq(Expr::SKIP),
+                        );
+                        // Touch thread-distinct data too, so shards see
+                        // genuinely concurrent inserts, not just lookups.
+                        let _ = Content::intern(&format!("thread-{t}-round-{r}"));
+                        exprs.push(e);
+                    }
+                    exprs
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    // Canonical interning: the same program from every thread is the same
+    // Copy id, so plain `==` agreement across all eight is exact.
+    for r in 0..ROUNDS {
+        let first = results[0][r];
+        for (t, per_thread) in results.iter().enumerate() {
+            assert_eq!(
+                per_thread[r], first,
+                "round {r}: thread {t} interned a different id for equal data"
+            );
+        }
+    }
+    // Distinct programs still get distinct ids.
+    let unique: std::collections::BTreeSet<_> = (0..ROUNDS)
+        .map(|r| format!("{:?}", results[0][r]))
+        .collect();
+    assert!(unique.len() > 1, "stress programs must not all collapse");
+}

@@ -31,8 +31,6 @@ pub struct CoverageOptions {
     pub analysis: AnalysisOptions,
     /// Fleet worker threads (`0` = auto).
     pub jobs: usize,
-    /// Explorer threads per job (`0` = auto split).
-    pub threads: usize,
     /// Minimum acceptable coverage, in percent.
     pub threshold: f64,
     /// Re-pin: persist current verdicts as the new baseline and pass.
@@ -48,7 +46,6 @@ impl Default for CoverageOptions {
             platform: Platform::Ubuntu,
             analysis: AnalysisOptions::default().with_timeout(std::time::Duration::from_secs(600)),
             jobs: 0,
-            threads: 0,
             threshold: 100.0,
             pin: false,
         }
@@ -119,10 +116,8 @@ pub fn run_coverage(options: &CoverageOptions) -> Result<CoverageOutcome, String
 
     let mut engine = FleetEngine::new(FleetOptions {
         jobs: options.jobs,
-        threads: options.threads,
         analysis: options.analysis.clone(),
-        cancel: None,
-        lint: false,
+        ..FleetOptions::default()
     })
     .with_state(Arc::clone(&state));
     let report = engine.run_paths(&manifests, &[options.platform]);

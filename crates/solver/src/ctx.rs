@@ -76,17 +76,6 @@ enum TNode {
     Ite(Formula, Term, Term),
 }
 
-/// FNV-128 offset basis: the starting value for structural digests.
-const DIGEST_SEED: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-
-/// One FNV-128-style mixing step: fold `word` into the accumulator.
-/// Used by [`Ctx::formula_digest`]/[`Ctx::term_digest`] to combine node
-/// tags, variable indices, and child digests.
-fn digest_mix(acc: u128, word: u128) -> u128 {
-    const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    (acc ^ word).wrapping_mul(FNV_PRIME)
-}
-
 #[derive(Debug)]
 struct FdVarInfo {
     values: Vec<u32>,
@@ -124,20 +113,6 @@ impl CtxStats {
         }
         hits as f64 / (fresh + hits) as f64
     }
-
-    /// Deterministically folds another context's stats into this one:
-    /// size gauges (node, variable counts) take the maximum, work
-    /// counters (dedup hits) sum. Used to merge per-thread explorer
-    /// contexts into one report, so merged numbers do not depend on the
-    /// order workers finish.
-    pub fn merge(&mut self, other: &CtxStats) {
-        self.formula_nodes = self.formula_nodes.max(other.formula_nodes);
-        self.term_nodes = self.term_nodes.max(other.term_nodes);
-        self.bool_vars = self.bool_vars.max(other.bool_vars);
-        self.fd_vars = self.fd_vars.max(other.fd_vars);
-        self.formula_dedup_hits += other.formula_dedup_hits;
-        self.term_dedup_hits += other.term_dedup_hits;
-    }
 }
 
 /// Grounding statistics for the incremental solving path
@@ -163,14 +138,6 @@ impl GroundingStats {
             return 0.0;
         }
         self.reused_nodes as f64 / total as f64
-    }
-
-    /// Sums another context's grounding counters into this one (all three
-    /// fields are work counters).
-    pub fn merge(&mut self, other: &GroundingStats) {
-        self.grounded_nodes += other.grounded_nodes;
-        self.reused_nodes += other.reused_nodes;
-        self.grounded_clauses += other.grounded_clauses;
     }
 }
 
@@ -211,10 +178,6 @@ pub struct Ctx {
     bit_memo: HashMap<(Term, u32), Formula>,
     /// Memo table for the set of values a term can take.
     possible_memo: HashMap<Term, std::rc::Rc<Vec<u32>>>,
-    /// Memo tables for the structural digests ([`Ctx::formula_digest`],
-    /// [`Ctx::term_digest`]).
-    fdigest_memo: HashMap<Formula, u128>,
-    tdigest_memo: HashMap<Term, u128>,
     /// Hash-consing hit counters (see [`CtxStats`]).
     formula_hits: u64,
     term_hits: u64,
@@ -994,175 +957,6 @@ impl Ctx {
         }
     }
 
-    /// The current boolean-variable watermark: the number of boolean
-    /// variables allocated so far. Two contexts that executed the same
-    /// deterministic sequence of allocations (e.g. parallel explorer
-    /// workers encoding the same domain) agree on every `BVar` below
-    /// their common watermark, which is what makes learnt-clause sharing
-    /// ([`Ctx::export_learnt_clauses`]/[`Ctx::import_clauses`]) sound.
-    pub fn watermark(&self) -> u32 {
-        self.n_bool_vars
-    }
-
-    /// Short learnt clauses of the persistent solver mentioning only
-    /// variables below `var_bound` (see [`Solver::export_learnts`]).
-    pub fn export_learnt_clauses(&self, max_len: usize, var_bound: u32) -> Vec<Vec<Lit>> {
-        self.inc.solver.export_learnts(max_len, var_bound as usize)
-    }
-
-    /// Adds clauses proved by a sibling context over the shared variable
-    /// prefix to the persistent solver; returns how many were accepted.
-    ///
-    /// Safety gates: the side constraints are grounded first (so every
-    /// imported variable's one-hot constraints are already asserted
-    /// here), and clauses mentioning any variable at or above `var_bound`
-    /// — or above this context's own watermark — are rejected. Callers
-    /// must only share clauses between contexts whose allocation history
-    /// below `var_bound` is identical.
-    pub fn import_clauses(&mut self, clauses: &[Vec<Lit>], var_bound: u32) -> usize {
-        let bound = var_bound.min(self.n_bool_vars) as usize;
-        self.ground_side_constraints();
-        self.inc.solver.reserve_vars(self.n_bool_vars as usize);
-        let mut accepted = 0;
-        for c in clauses {
-            if c.is_empty() || c.iter().any(|l| l.var().index() >= bound) {
-                continue;
-            }
-            accepted += 1;
-            if !self.inc.solver.add_clause(c.iter().copied()) {
-                self.inc.unsat = true;
-            }
-        }
-        accepted
-    }
-
-    /// A 128-bit structural digest of a formula, stable across contexts
-    /// that allocated their *variables* in the same order: it hashes node
-    /// tags, boolean-variable indices, and child digests — never this
-    /// context's interning order. Commutative connectives (`and`, `or`,
-    /// `iff`) canonicalize children by node id, so their child digests
-    /// are hashed in sorted order to erase that history dependence.
-    /// Memoized per node, so digesting shared subtrees is O(1) after the
-    /// first visit.
-    pub fn formula_digest(&mut self, root: Formula) -> u128 {
-        if let Some(&d) = self.fdigest_memo.get(&root) {
-            return d;
-        }
-        let mut stack: Vec<(Formula, bool)> = vec![(root, false)];
-        while let Some((f, expanded)) = stack.pop() {
-            if self.fdigest_memo.contains_key(&f) {
-                continue;
-            }
-            let node = self.fnodes[f.0 as usize].clone();
-            if !expanded {
-                stack.push((f, true));
-                match &node {
-                    FNode::True | FNode::False | FNode::Var(_) => {}
-                    FNode::Not(a) => stack.push((*a, false)),
-                    FNode::And(cs) | FNode::Or(cs) => {
-                        for &c in cs.iter() {
-                            stack.push((c, false));
-                        }
-                    }
-                    FNode::Ite(c, t, e) => {
-                        stack.push((*c, false));
-                        stack.push((*t, false));
-                        stack.push((*e, false));
-                    }
-                    FNode::Iff(a, b) => {
-                        stack.push((*a, false));
-                        stack.push((*b, false));
-                    }
-                }
-                continue;
-            }
-            let child = |memo: &HashMap<Formula, u128>, f: &Formula| memo[f];
-            let d = match &node {
-                FNode::False => digest_mix(DIGEST_SEED, 0x01),
-                FNode::True => digest_mix(DIGEST_SEED, 0x02),
-                FNode::Var(b) => digest_mix(digest_mix(DIGEST_SEED, 0x03), u128::from(b.0)),
-                FNode::Not(a) => {
-                    digest_mix(digest_mix(DIGEST_SEED, 0x04), child(&self.fdigest_memo, a))
-                }
-                FNode::And(cs) | FNode::Or(cs) => {
-                    let tag = if matches!(node, FNode::And(_)) {
-                        0x05
-                    } else {
-                        0x06
-                    };
-                    // `and`/`or` canonicalize children by sorting on node
-                    // *id*, which is interning-order dependent; sorting
-                    // the child *digests* instead makes the hash agree
-                    // between contexts that built the same conjunction
-                    // through different histories.
-                    let mut kids: Vec<u128> =
-                        cs.iter().map(|c| child(&self.fdigest_memo, c)).collect();
-                    kids.sort_unstable();
-                    let mut d = digest_mix(digest_mix(DIGEST_SEED, tag), cs.len() as u128);
-                    for k in kids {
-                        d = digest_mix(d, k);
-                    }
-                    d
-                }
-                FNode::Ite(c, t, e) => {
-                    let mut d = digest_mix(DIGEST_SEED, 0x07);
-                    for x in [c, t, e] {
-                        d = digest_mix(d, child(&self.fdigest_memo, x));
-                    }
-                    d
-                }
-                FNode::Iff(a, b) => {
-                    // `iff` orders its operands by node id too — hash the
-                    // operand digests in sorted order for the same reason
-                    // as `and`/`or` above.
-                    let (da, db) = (child(&self.fdigest_memo, a), child(&self.fdigest_memo, b));
-                    let (lo, hi) = if da <= db { (da, db) } else { (db, da) };
-                    digest_mix(digest_mix(digest_mix(DIGEST_SEED, 0x08), lo), hi)
-                }
-            };
-            self.fdigest_memo.insert(f, d);
-        }
-        self.fdigest_memo[&root]
-    }
-
-    /// A 128-bit structural digest of a finite-domain term (see
-    /// [`Ctx::formula_digest`]). Finite-domain variables hash as their
-    /// allocation index, which deterministic encoders reproduce.
-    pub fn term_digest(&mut self, root: Term) -> u128 {
-        if let Some(&d) = self.tdigest_memo.get(&root) {
-            return d;
-        }
-        let mut stack: Vec<(Term, bool)> = vec![(root, false)];
-        while let Some((t, expanded)) = stack.pop() {
-            if self.tdigest_memo.contains_key(&t) {
-                continue;
-            }
-            let node = self.tnodes[t.0 as usize].clone();
-            if !expanded {
-                stack.push((t, true));
-                if let TNode::Ite(_, a, b) = &node {
-                    stack.push((*a, false));
-                    stack.push((*b, false));
-                }
-                continue;
-            }
-            let d = match node {
-                TNode::Val(v) => digest_mix(digest_mix(DIGEST_SEED, 0x11), u128::from(v)),
-                TNode::Var(idx) => digest_mix(digest_mix(DIGEST_SEED, 0x12), u128::from(idx)),
-                TNode::Ite(c, a, b) => {
-                    let dc = self.formula_digest(c);
-                    let (da, db) = (self.tdigest_memo[&a], self.tdigest_memo[&b]);
-                    digest_mix(
-                        digest_mix(digest_mix(digest_mix(DIGEST_SEED, 0x13), dc), da),
-                        db,
-                    )
-                }
-            };
-            self.tdigest_memo.insert(t, d);
-        }
-        self.tdigest_memo[&root]
-    }
-
     /// Cumulative statistics of the persistent solver (conflicts,
     /// decisions, propagations across every [`Ctx::solve_assuming`]).
     pub fn solver_stats(&self) -> SolverStats {
@@ -1680,92 +1474,5 @@ mod tests {
             assert_eq!(ctx.eval_formula(f, &assign), expected);
             assert_eq!(ctx.eval_formula(nf, &assign), !expected);
         }
-    }
-
-    /// Builds the same formula in a fresh context, returning the root.
-    /// Mirrors how parallel explorer workers each encode the same domain.
-    fn build_sample(ctx: &mut Ctx) -> Formula {
-        let x = ctx.fd_var(&[0, 1, 2]);
-        let y = ctx.fd_var(&[1, 2, 3]);
-        let eq = ctx.eq_terms(x, y);
-        let b = ctx.fresh_bool();
-        let nb = ctx.not(b);
-        let disj = ctx.or2(eq, nb);
-        ctx.and2(disj, b)
-    }
-
-    #[test]
-    fn digests_agree_across_contexts_with_same_history() {
-        let mut c1 = Ctx::new();
-        let mut c2 = Ctx::new();
-        let f1 = build_sample(&mut c1);
-        let f2 = build_sample(&mut c2);
-        assert_eq!(c1.formula_digest(f1), c2.formula_digest(f2));
-        let t1 = c1.fd_var(&[4, 5]);
-        let t2 = c2.fd_var(&[4, 5]);
-        assert_eq!(c1.term_digest(t1), c2.term_digest(t2));
-        // Memoization returns the same digest on a second call.
-        assert_eq!(c1.formula_digest(f1), c2.formula_digest(f2));
-    }
-
-    #[test]
-    fn digests_distinguish_structure() {
-        let mut ctx = Ctx::new();
-        let a = ctx.fresh_bool();
-        let b = ctx.fresh_bool();
-        let and = ctx.and2(a, b);
-        let or = ctx.or2(a, b);
-        let not_a = ctx.not(a);
-        let tt = ctx.tt();
-        let ff = ctx.ff();
-        let mut seen = std::collections::HashSet::new();
-        for f in [a, b, and, or, not_a, tt, ff] {
-            assert!(seen.insert(ctx.formula_digest(f)), "digest collision");
-        }
-        let v = ctx.fd_var(&[0, 1]);
-        let w = ctx.fd_var(&[0, 1]);
-        assert_ne!(
-            ctx.term_digest(v),
-            ctx.term_digest(w),
-            "distinct fd vars digest distinctly even with equal domains"
-        );
-    }
-
-    #[test]
-    fn learnt_clause_export_respects_bounds() {
-        let mut ctx = Ctx::new();
-        let root = build_sample(&mut ctx);
-        let wm = ctx.watermark();
-        assert!(ctx.solve_assuming(root, None, None).unwrap().is_some());
-        for c in ctx.export_learnt_clauses(2, wm) {
-            assert!(!c.is_empty() && c.len() <= 2);
-            assert!(c.iter().all(|l| (l.var().index() as u32) < wm));
-        }
-    }
-
-    #[test]
-    fn import_clauses_preserves_verdicts() {
-        // Worker A proves clauses over the shared prefix; worker B imports
-        // them. Both must still agree with a fresh context on every query.
-        let mut a = Ctx::new();
-        let mut b = Ctx::new();
-        let ra = build_sample(&mut a);
-        let rb = build_sample(&mut b);
-        let wm = a.watermark();
-        assert_eq!(wm, b.watermark());
-        assert!(a.solve_assuming(ra, None, None).unwrap().is_some());
-        let exported = a.export_learnt_clauses(8, wm);
-        let accepted = b.import_clauses(&exported, wm);
-        assert_eq!(accepted, exported.len());
-        // SAT query still SAT after the import.
-        assert!(b.solve_assuming(rb, None, None).unwrap().is_some());
-        // An UNSAT query stays UNSAT: assume the negation of a background
-        // truth.
-        let nrb = b.not(rb);
-        let and_rb = b.and2(rb, nrb);
-        assert!(b.solve_assuming(and_rb, None, None).unwrap().is_none());
-        // Clauses over unknown variables are rejected, not asserted.
-        let bogus = vec![vec![Lit::positive(Var::from_index(10_000))]];
-        assert_eq!(b.import_clauses(&bogus, wm), 0);
     }
 }

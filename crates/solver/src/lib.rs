@@ -32,11 +32,9 @@
 pub mod cnf;
 pub mod ctx;
 pub mod lit;
-pub mod pool;
 pub mod sat;
 
 pub use cnf::{Cnf, DimacsError};
 pub use ctx::{BVar, Ctx, CtxStats, Formula, GroundingStats, ModelView, SolveTimeout, Term};
 pub use lit::{LBool, Lit, Var};
-pub use pool::ClausePool;
 pub use sat::{Model, SatResult, Solver, SolverStats};

@@ -2,12 +2,12 @@
 //!
 //! Several layers of the analyzer share process-wide or run-wide tables
 //! that many threads probe at once: the footprint digest memos, the
-//! commutativity oracle, and the parallel explorer's symbolic-state cache
-//! and output registry. A single `Mutex<HashMap>` serializes every probe;
-//! [`ShardedMap`] splits the key space across a power-of-two number of
-//! independently locked shards so threads touching different keys never
-//! contend, while keeping the simple "probe, compute outside the lock,
-//! double-checked insert" memoization discipline.
+//! analysis memo tables, and the commutativity oracle, all shared by
+//! fleet jobs and serve workers. A single `Mutex<HashMap>` serializes
+//! every probe; [`ShardedMap`] splits the key space across a power-of-two
+//! number of independently locked shards so threads touching different
+//! keys never contend, while keeping the simple "probe, compute outside
+//! the lock, double-checked insert" memoization discipline.
 //!
 //! The map is append-friendly: values are never removed, and racing fills
 //! of the same key are resolved first-writer-wins, so it is only suitable
@@ -32,12 +32,11 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Default shard count: enough stripes that a dozen worker threads with
 /// hash-spread keys rarely collide, small enough that iterating shards
-/// (for snapshots and length) stays cheap.
+/// (for snapshots) stays cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Routes a hashable value to a shard index in `0..n_shards`
@@ -58,14 +57,10 @@ pub fn shard_index<K: Hash>(key: &K, n_shards: usize) -> usize {
 /// A concurrent hash map striped across independently locked shards.
 ///
 /// Reads take one shard's shared lock; writes take one shard's exclusive
-/// lock. A lock that cannot be acquired immediately increments the map's
-/// contention counter (surfaced by callers as e.g. the
-/// `arena.shard_contention` trace gauge) before blocking, so profiles
-/// show whether the stripe count is adequate.
+/// lock.
 #[derive(Debug)]
 pub struct ShardedMap<K, V> {
     shards: Box<[RwLock<HashMap<K, V>>]>,
-    contention: AtomicU64,
 }
 
 impl<K: Hash + Eq, V: Clone> Default for ShardedMap<K, V> {
@@ -84,62 +79,24 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     pub fn with_shards(n: usize) -> ShardedMap<K, V> {
         let n = n.max(1).next_power_of_two();
         let shards = (0..n).map(|_| RwLock::new(HashMap::new())).collect();
-        ShardedMap {
-            shards,
-            contention: AtomicU64::new(0),
-        }
+        ShardedMap { shards }
     }
 
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
         &self.shards[shard_index(key, self.shards.len())]
     }
 
-    fn read_shard<'a>(
-        &'a self,
-        lock: &'a RwLock<HashMap<K, V>>,
-    ) -> std::sync::RwLockReadGuard<'a, HashMap<K, V>> {
-        match lock.try_read() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                lock.read().expect("sharded map poisoned")
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("sharded map poisoned"),
-        }
-    }
-
-    fn write_shard<'a>(
-        &'a self,
-        lock: &'a RwLock<HashMap<K, V>>,
-    ) -> std::sync::RwLockWriteGuard<'a, HashMap<K, V>> {
-        match lock.try_write() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                lock.write().expect("sharded map poisoned")
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("sharded map poisoned"),
-        }
-    }
-
     /// The value stored under `key`, if any.
     pub fn get(&self, key: &K) -> Option<V> {
-        let lock = self.shard(key);
-        self.read_shard(lock).get(key).cloned()
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        let lock = self.shard(key);
-        self.read_shard(lock).contains_key(key)
+        let guard = self.shard(key).read().expect("sharded map poisoned");
+        guard.get(key).cloned()
     }
 
     /// Inserts `value` under `key` unless a value is already present;
     /// returns the value that ended up in the map and whether it was
     /// already there (first-writer-wins).
     pub fn insert_if_absent(&self, key: K, value: V) -> (V, bool) {
-        let lock = self.shard(&key);
-        let mut guard = self.write_shard(lock);
+        let mut guard = self.shard(&key).write().expect("sharded map poisoned");
         if let Some(existing) = guard.get(&key) {
             return (existing.clone(), true);
         }
@@ -162,23 +119,6 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
         (stored, false)
     }
 
-    /// Total number of entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.read_shard(s).len()).sum()
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| self.read_shard(s).is_empty())
-    }
-
-    /// Number of lock acquisitions that found their shard already held
-    /// and had to block (a measure of stripe pressure, not a count of
-    /// wasted work).
-    pub fn contention(&self) -> u64 {
-        self.contention.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of every entry (shard by shard; entries
     /// inserted concurrently into already-visited shards are missed).
     pub fn snapshot(&self) -> Vec<(K, V)>
@@ -187,7 +127,7 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
     {
         let mut out = Vec::new();
         for s in self.shards.iter() {
-            let guard = self.read_shard(s);
+            let guard = s.read().expect("sharded map poisoned");
             out.extend(guard.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
         out
@@ -201,10 +141,7 @@ mod tests {
     #[test]
     fn empty_map() {
         let m: ShardedMap<u32, u32> = ShardedMap::new();
-        assert!(m.is_empty());
-        assert_eq!(m.len(), 0);
         assert_eq!(m.get(&1), None);
-        assert!(!m.contains_key(&1));
     }
 
     #[test]
@@ -223,7 +160,6 @@ mod tests {
         let (v, existed) = m.insert_if_absent(1, "b");
         assert_eq!((v, existed), ("a", true));
         assert_eq!(m.get(&1), Some("a"));
-        assert_eq!(m.len(), 1);
     }
 
     #[test]
@@ -241,7 +177,6 @@ mod tests {
         for k in 0..512u64 {
             m.insert_if_absent(k, k);
         }
-        assert_eq!(m.len(), 512);
         let occupied = m
             .shards
             .iter()
@@ -270,6 +205,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(m.len(), 256);
+        assert!((0..256u32).all(|k| m.get(&k) == Some(k * 2)));
     }
 }

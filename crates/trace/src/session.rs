@@ -11,9 +11,8 @@
 //!   fleet engine uses this to give each job its own session on whichever
 //!   worker thread runs it, so concurrent jobs never mix records.
 //! * [`Session::install_global`] additionally publishes the session
-//!   process-wide, so helper threads spawned *during* the session (none
-//!   today, but the roadmap has multi-core exploration) still resolve it.
-//!   The thread-local slot always wins over the global one.
+//!   process-wide, so helper threads spawned *during* the session still
+//!   resolve it. The thread-local slot always wins over the global one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -336,8 +335,21 @@ pub struct TraceSnapshot {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that open spans on a thread with no local
+    /// session against the one that installs a global session: while it
+    /// is installed, such spans record into it.
+    static GLOBAL_SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+    fn lock_global_session() -> std::sync::MutexGuard<'static, ()> {
+        // A panicking test poisons the lock; `()` cannot be left invalid.
+        GLOBAL_SESSION_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn inactive_by_default_and_spans_are_noops() {
+        let _serial = lock_global_session();
         // NB: tests run concurrently; another test may have a session
         // installed, so only assert the no-session path on *this* thread.
         let before = CURRENT.with(|c| c.borrow().len());
@@ -371,6 +383,7 @@ mod tests {
 
     #[test]
     fn install_is_scoped_to_guard() {
+        let _serial = lock_global_session();
         let session = Session::new();
         {
             let _scope = session.install();
@@ -405,6 +418,7 @@ mod tests {
 
     #[test]
     fn global_install_reaches_other_threads() {
+        let _serial = lock_global_session();
         let session = Session::new();
         let _scope = session.install_global();
         let handle = std::thread::spawn(|| {

@@ -6,7 +6,7 @@
 //! rehearsal graph <manifest.pp> [...]
 //! rehearsal benchmarks [--json] [--timeout SECONDS]
 //! rehearsal lint <DIR|FILE...> [--allow RULE] [--warn RULE] [--deny RULE|warnings] [...]
-//! rehearsal fleet <DIR|FILE...> [--jobs N] [--threads N] [--json] [--cache FILE] [--baseline FILE] [...]
+//! rehearsal fleet <DIR|FILE...> [--jobs N] [--json] [--cache FILE] [--baseline FILE] [...]
 //! ```
 
 use rehearsal::fleet::{
@@ -56,9 +56,8 @@ OPTIONS:
     --no-commutativity           disable the commutativity check (fig. 11c)
     --no-pruning                 disable path pruning (fig. 11b)
     --no-elimination             disable resource elimination
-    --threads <N>                explorer threads per analysis; 0 = auto
-                                 (one per CPU), 1 = exact sequential
-                                 traversal            [default: auto]
+    --threads <N>                accepted and ignored: exploration is
+                                 sequential; use `fleet --jobs` for cores
 
 OBSERVABILITY:
     --timings                    print the per-phase timing tree to stderr
@@ -82,11 +81,8 @@ prints the same findings to stderr as advisories. `rehearsal fleet
 --lint` attaches them to report rows and `--annotations`.
 
 FLEET OPTIONS:
-    --jobs <N>                   manifest workers; cores left over become
-                                 explorer threads       [default: auto]
-                                 (with --threads, jobs × threads is capped
-                                 at the core count; the report header
-                                 echoes the resolved split)
+    --jobs <N>                   manifest workers, capped at the manifest
+                                 count            [default: one per CPU]
     --cache <FILE>               JSONL verdict cache, reused across runs
     --baseline <FILE>            differential-verification baseline: persists
                                  graph digests, footprint summaries, and pair
@@ -139,7 +135,6 @@ struct Args {
     state: Option<String>,
     json: bool,
     jobs: usize,
-    threads: usize,
     cache: Option<String>,
     baseline: Option<String>,
     list: Option<String>,
@@ -181,7 +176,6 @@ fn parse_args() -> Result<Args, String> {
     let mut state = None;
     let mut json = false;
     let mut jobs = 0;
-    let mut threads = 0;
     let mut cache = None;
     let mut baseline = None;
     let mut list = None;
@@ -219,8 +213,10 @@ fn parse_args() -> Result<Args, String> {
                 jobs = v.parse().map_err(|_| "bad --jobs value")?;
             }
             "--threads" => {
+                // Accepted for compatibility and ignored: exploration is
+                // sequential, and `--jobs` is the multi-core setting.
                 let v = argv.next().ok_or("--threads needs a value")?;
-                threads = v.parse().map_err(|_| "bad --threads value")?;
+                v.parse::<usize>().map_err(|_| "bad --threads value")?;
             }
             "--cache" => {
                 cache = Some(argv.next().ok_or("--cache needs a value")?);
@@ -301,16 +297,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}\n\n{USAGE}")),
         }
     }
-    // Single-manifest commands get the resolved thread count directly;
-    // `fleet` keeps the raw request (0 = auto) so the engine can divide
-    // cores between manifest jobs and per-manifest threads itself.
-    options.threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
     Ok(Args {
         command,
         paths,
@@ -319,7 +305,6 @@ fn parse_args() -> Result<Args, String> {
         state,
         json,
         jobs,
-        threads,
         cache,
         baseline,
         list,
@@ -667,10 +652,9 @@ fn run_fleet(args: &Args) -> Result<bool, String> {
 
     let options = FleetOptions {
         jobs: args.jobs,
-        threads: args.threads,
         analysis: args.options.clone(),
-        cancel: None,
         lint: args.lint,
+        ..FleetOptions::default()
     };
     // One open-once state handle for the run: `--cache`/`--baseline`
     // files are read here, shared with the engine by reference, and
@@ -736,7 +720,6 @@ fn run_coverage(args: &Args) -> Result<bool, String> {
         platform: args.platform,
         analysis: args.options.clone(),
         jobs: args.jobs,
-        threads: args.threads,
         threshold: args.threshold,
         pin: args.pin,
     };

@@ -1,5 +1,6 @@
 //! Integration tests for the `rehearsal` command-line tool.
 
+use rehearsal::fleet::{parse_json, Json};
 use std::path::Path;
 use std::process::Command;
 
@@ -129,6 +130,54 @@ fn unknown_platform_is_rejected() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown platform"));
+}
+
+#[test]
+fn threads_flag_is_accepted_and_ignored() {
+    let check = |name: &str, threads: &str| {
+        let out = rehearsal()
+            .args(["check", &manifest(name), "--json", "--threads", threads])
+            .output()
+            .expect("binary runs");
+        parse_json(&String::from_utf8_lossy(&out.stdout)).expect("check --json parses")
+    };
+    for name in ["ntp-nondet.pp", "ntp.pp"] {
+        let (one, four) = (check(name, "1"), check(name, "4"));
+        for key in ["verdict", "idempotent", "diagnostics"] {
+            assert_eq!(
+                one.get(key).map(Json::render),
+                four.get(key).map(Json::render),
+                "{name}: {key}"
+            );
+        }
+        let explored = |doc: &Json| {
+            doc.get("stats")
+                .and_then(|s| s.get("sequences_explored"))
+                .and_then(Json::as_u64)
+        };
+        assert!(explored(&one).is_some(), "{name}: stats present");
+        assert_eq!(explored(&one), explored(&four), "{name}: sequences");
+    }
+    let nondet = check("ntp-nondet.pp", "4");
+    assert_eq!(
+        nondet.get("verdict").and_then(Json::as_str),
+        Some("nondeterministic")
+    );
+    assert!(
+        nondet
+            .get("diagnostics")
+            .map(Json::render)
+            .unwrap_or_default()
+            .contains("order A"),
+        "the counterexample orders are compared"
+    );
+
+    let out = rehearsal()
+        .args(["check", &manifest("ntp.pp"), "--threads", "x"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --threads value"));
 }
 
 #[test]
