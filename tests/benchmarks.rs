@@ -196,3 +196,17 @@ fn pruning_shrinks_tracked_paths() {
         full.stats().tracked_paths
     );
 }
+
+/// The heaviest deterministic manifests split into several footprint
+/// components, each checked for idempotence on its own. A coarser
+/// footprint relation would merge them and slow the check down without
+/// changing any verdict, so the counts are pinned here.
+#[test]
+fn heavy_manifests_split_into_idempotence_components() {
+    use rehearsal::core::idempotence::components;
+    let tool = tool();
+    for (name, expected) in [("jpa", 4), ("hosting", 3), ("amavis", 4), ("logstash", 2)] {
+        let graph = tool.lower(by_name(name).unwrap().source).unwrap();
+        assert_eq!(components(&graph).len(), expected, "{name}");
+    }
+}

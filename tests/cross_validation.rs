@@ -12,7 +12,7 @@
 
 use rehearsal::core::determinism::{check_determinism, AnalysisOptions, FsGraph};
 use rehearsal::core::equivalence::check_expr_equivalence;
-use rehearsal::core::idempotence::check_expr_idempotence;
+use rehearsal::core::idempotence::{check_expr_idempotence, check_idempotence, components};
 use rehearsal::fs::{
     enumerate_filesystems, eval, Content, Expr, FileState, FileSystem, FsPath, Pred,
 };
@@ -57,7 +57,12 @@ fn contents() -> Vec<Content> {
 
 /// A small expression language mirroring resource idioms.
 fn random_expr(rng: &mut Prng) -> Expr {
-    let p = paths()[rng.usize(3)];
+    random_expr_over(rng, &paths())
+}
+
+/// [`random_expr`] over a chosen path set.
+fn random_expr_over(rng: &mut Prng, ps: &[FsPath]) -> Expr {
+    let p = ps[rng.usize(ps.len())];
     let c = contents()[rng.usize(2)];
     match rng.usize(8) {
         // ensure_dir
@@ -270,4 +275,73 @@ fn idempotence_matches_brute_force() {
         }
         assert_eq!(report.is_idempotent(), expected, "expr: {e}");
     }
+}
+
+/// Paths spread over three independent subtrees, so random graphs over
+/// them often split into several footprint components.
+fn spread_paths() -> Vec<FsPath> {
+    ["/a", "/a/f", "/b", "/c"]
+        .iter()
+        .map(|s| FsPath::parse(s).unwrap())
+        .collect()
+}
+
+/// Graph-level idempotence cross-validation: on random deterministic
+/// graphs, the compositional `check_idempotence` must match concrete
+/// execution of one topological order on every consistent state, and
+/// the monolithic query over that order.
+#[test]
+fn graph_idempotence_matches_brute_force_and_monolithic() {
+    let mut rng = Prng::new(34);
+    let spread = spread_paths();
+    let (mut checked, mut split, mut split_non_idempotent) = (0, 0, 0);
+    for case in 0..300 {
+        let n = 3 + rng.usize(2);
+        let exprs: Vec<Expr> = (0..n)
+            .map(|_| random_expr_over(&mut rng, &spread))
+            .collect();
+        let mut edges = BTreeSet::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.usize(3) == 0 {
+                    edges.insert((i, j));
+                }
+            }
+        }
+        let names = (0..n).map(|i| format!("r{i}")).collect();
+        let graph = FsGraph::new(exprs, edges, names);
+        let deterministic = check_determinism(&graph, &AnalysisOptions::default())
+            .expect("no abort")
+            .is_deterministic();
+        if !deterministic {
+            continue;
+        }
+        let order = graph.topological_order();
+        let whole = Expr::seq_all(order.iter().map(|&i| graph.exprs[i]));
+        let mut domain: BTreeSet<FsPath> = spread.iter().copied().collect();
+        domain.extend(whole.paths().iter().copied());
+        let ps: Vec<FsPath> = domain.iter().copied().collect();
+        let expected = consistent_states(&ps, &contents()).iter().all(|fs| {
+            let once = eval(whole, fs);
+            let twice = once.clone().and_then(|s| eval(whole, &s));
+            once.map(|s| s.restrict(&domain)) == twice.map(|s| s.restrict(&domain))
+        });
+        let report = check_idempotence(&graph, &AnalysisOptions::default()).expect("no abort");
+        let mono = check_expr_idempotence(whole, &AnalysisOptions::default()).expect("no abort");
+        assert_eq!(report.is_idempotent(), expected, "case {case}: {whole}");
+        assert_eq!(mono.is_idempotent(), expected, "case {case}: {whole}");
+        checked += 1;
+        if components(&graph).len() > 1 {
+            split += 1;
+            if !expected {
+                split_non_idempotent += 1;
+            }
+        }
+    }
+    assert!(checked >= 100, "only {checked} deterministic graphs");
+    assert!(split >= 50, "only {split} graphs split into components");
+    assert!(
+        split_non_idempotent >= 10,
+        "only {split_non_idempotent} split graphs are non-idempotent"
+    );
 }
