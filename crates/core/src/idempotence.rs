@@ -232,6 +232,23 @@ mod tests {
     }
 
     #[test]
+    fn traced_query_publishes_search_counters() {
+        // The counterexample search needs decisions; the one-shot
+        // solver's counters must reach the trace registry.
+        let e = guarded_mkdir("/a")
+            .seq(Expr::create_file(p("/a/f"), Content::intern("y")))
+            .seq(guarded_mkdir("/b"));
+        let session = rehearsal_trace::Session::new();
+        let guard = session.install();
+        let r = check_expr_idempotence(e, &AnalysisOptions::default()).unwrap();
+        drop(guard);
+        assert!(!r.is_idempotent());
+        let snap = session.snapshot();
+        assert!(snap.metrics.counter("sat.decisions").unwrap_or(0) > 0);
+        assert!(snap.metrics.counter("sat.propagations").unwrap_or(0) > 0);
+    }
+
+    #[test]
     fn guarded_mkdir_is_idempotent() {
         let e = Expr::if_then(Pred::is_dir(p("/a")).not(), Expr::mkdir(p("/a")));
         let r = check_expr_idempotence(e, &AnalysisOptions::default()).unwrap();

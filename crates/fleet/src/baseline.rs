@@ -404,6 +404,31 @@ mod tests {
             entry_fingerprint(hit),
             entry_fingerprint(&entry("site.pp", 0xfeed))
         );
+
+        // A large entry: hundreds of non-ASCII, quote- and
+        // backslash-bearing paths and a long detail on one line.
+        let mut big = entry("big \"site\".pp", 0xbeef);
+        let paths: Vec<String> = (0..400)
+            .map(|i| format!("/srv/vérité-{i}/\"q\"\\b→{i}/😀\tx"))
+            .collect();
+        big.resources = (0..6)
+            .map(|r| ResourceSummary {
+                digest: r,
+                reads: paths.clone(),
+                writes: paths[r as usize..].to_vec(),
+                ensured: paths[..r as usize * 10].to_vec(),
+                meta: paths.iter().rev().cloned().collect(),
+                observed: vec!["/srv".to_string()],
+            })
+            .collect();
+        big.pruned = paths.clone();
+        big.detail = "détail \"€\" \\ ".repeat(2_000);
+        let mut store = BaselineStore::open(&path).unwrap();
+        store.put(big.clone());
+        store.save().unwrap();
+        let reloaded = BaselineStore::open(&path).unwrap();
+        assert_eq!(reloaded.len(), 2);
+        assert_eq!(reloaded.get("big \"site\".pp", 0xabcd), Some(&big));
     }
 
     #[test]

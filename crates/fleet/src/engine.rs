@@ -198,7 +198,7 @@ impl FleetEngine {
         let cancel = self.options.cancel.clone();
         let trace_jobs = rehearsal_trace::current().is_some();
 
-        // Lower every readable job serially (microseconds each) so cache
+        // Lower every readable job serially (0.1–2 ms each) so cache
         // and baseline lookups can use the semantic graph key; resolve
         // hits, replays, and pre-failed rows in place; queue the rest.
         // Jobs that lower to the same graph under the same options dedupe
@@ -297,7 +297,7 @@ impl FleetEngine {
                 // Keep the baseline fresh for manifests it has never
                 // seen (pair verdicts are unknown on a pure cache hit,
                 // so never overwrite a richer recorded entry).
-                if self.state.has_baseline() && self.state.baseline_get(&job.name, fp).is_none() {
+                if self.state.has_baseline() && !self.state.baseline_contains(&job.name, fp) {
                     self.state.baseline_put(baseline_entry(
                         &graph,
                         &analysis,

@@ -485,12 +485,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // in one step. Both delimiters are ASCII and the input
+                    // came from a `&str`, so the run ends on a char
+                    // boundary and is valid UTF-8.
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let text = std::str::from_utf8(&self.bytes[start..start + run])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(text);
+                    self.pos = start + run;
                 }
             }
         }
@@ -563,6 +569,95 @@ mod tests {
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("123 trailing").is_err());
+    }
+
+    /// Deterministic splitmix64 generator for test-case sampling.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[(self.next() % items.len() as u64) as usize]
+        }
+    }
+
+    /// ASCII, both delimiters, control characters, and 2-, 3- and 4-byte
+    /// UTF-8.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1f}', 'é', 'ß', '→',
+        '€', '\u{fffd}', '😀', '𝄞',
+    ];
+
+    fn random_string(rng: &mut Rng, len: usize) -> String {
+        (0..len).map(|_| rng.pick(ALPHABET)).collect()
+    }
+
+    /// `s` as a JSON string literal with each char written either raw
+    /// (escaped only where JSON requires) or, at random, as `\uXXXX`, so
+    /// escapes land on every kind of run boundary.
+    fn encode_with_unicode_escapes(rng: &mut Rng, s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            if (c as u32) < 0x1_0000 && rng.next().is_multiple_of(3) {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            } else {
+                let quoted = Json::str(c).render();
+                out.push_str(&quoted[1..quoted.len() - 1]);
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn random_strings_roundtrip() {
+        for seed in 0..200u64 {
+            let mut rng = Rng(seed);
+            let len = (rng.next() % 64) as usize;
+            let s = random_string(&mut rng, len);
+            let v = Json::str(s.clone());
+            assert_eq!(parse(&v.render()).unwrap(), v, "seed {seed}");
+            let escaped = encode_with_unicode_escapes(&mut rng, &s);
+            assert_eq!(parse(&escaped).unwrap(), v, "seed {seed}: {escaped}");
+        }
+    }
+
+    #[test]
+    fn string_errors_are_kept() {
+        assert_eq!(parse("\"abc").unwrap_err().message, "unterminated string");
+        assert_eq!(parse("\"a\\").unwrap_err().message, "bad escape");
+        assert_eq!(parse("\"a\\q\"").unwrap_err().message, "bad escape");
+        assert_eq!(parse("\"\\u12g4\"").unwrap_err().message, "bad \\u escape");
+        assert_eq!(
+            parse("\"\\u12").unwrap_err().message,
+            "truncated \\u escape"
+        );
+        // Raw control characters are accepted, not rejected.
+        assert_eq!(parse("\"a\tb\"").unwrap(), Json::str("a\tb"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One 128 KiB value: a per-character rescan of the rest of the
+        // input took several seconds at this size.
+        let mut rng = Rng(7);
+        let mut s = String::new();
+        while s.len() < 128 * 1024 {
+            s.push(rng.pick(ALPHABET));
+        }
+        let text = Json::obj([("detail", Json::str(s.clone()))]).render();
+        let started = std::time::Instant::now();
+        let back = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(back.get("detail").and_then(Json::as_str), Some(s.as_str()));
+        assert!(elapsed < std::time::Duration::from_secs(1), "{elapsed:?}");
     }
 
     #[test]

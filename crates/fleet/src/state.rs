@@ -113,6 +113,17 @@ impl StateDir {
             .and_then(|s| s.get(manifest, options_fp).cloned())
     }
 
+    /// Whether the baseline holds an entry for `(manifest, options
+    /// fingerprint)`; `false` when no store is attached. Unlike
+    /// [`StateDir::baseline_get`] this copies nothing out of the lock.
+    pub fn baseline_contains(&self, manifest: &str, options_fp: u64) -> bool {
+        self.baseline
+            .lock()
+            .expect("baseline lock")
+            .as_ref()
+            .is_some_and(|s| s.get(manifest, options_fp).is_some())
+    }
+
     /// Any baseline entry with this graph digest under this fingerprint
     /// (the rename-proof fallback), cloned out of the lock.
     pub fn baseline_find_by_digest(
@@ -242,10 +253,7 @@ mod tests {
 
     #[test]
     fn in_memory_has_no_baseline_until_attached() {
-        let state = StateDir::in_memory();
-        assert!(!state.has_baseline());
-        assert_eq!(state.baseline_len(), 0);
-        state.baseline_put(BaselineEntry {
+        let entry = || BaselineEntry {
             manifest: "dropped.pp".to_string(),
             platform: rehearsal_pkgdb::Platform::Ubuntu,
             options: 1,
@@ -257,9 +265,18 @@ mod tests {
             verdict: Verdict::Deterministic,
             detail: String::new(),
             diagnostics: Vec::new(),
-        });
+        };
+        let state = StateDir::in_memory();
+        assert!(!state.has_baseline());
+        assert_eq!(state.baseline_len(), 0);
+        state.baseline_put(entry());
         assert_eq!(state.baseline_len(), 0, "puts without a store are no-ops");
+        assert!(!state.baseline_contains("dropped.pp", 1));
         state.set_baseline(BaselineStore::in_memory());
         assert!(state.has_baseline());
+        state.baseline_put(entry());
+        assert!(state.baseline_contains("dropped.pp", 1));
+        assert!(!state.baseline_contains("dropped.pp", 2));
+        assert!(!state.baseline_contains("other.pp", 1));
     }
 }

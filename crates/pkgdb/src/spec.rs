@@ -3,6 +3,7 @@
 use rehearsal_fs::FsPath;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The operating-system flavor a database describes.
 ///
@@ -156,7 +157,10 @@ impl std::error::Error for UnknownPackageError {}
 #[derive(Debug, Clone, Default)]
 pub struct PackageDb {
     platform: Platform,
-    packages: BTreeMap<String, PackageSpec>,
+    /// Shared between clones and copied on the first [`PackageDb::insert`],
+    /// so every [`PackageDb::builtin`] call hands out the one table built
+    /// per platform.
+    packages: Arc<BTreeMap<String, PackageSpec>>,
 }
 
 impl PackageDb {
@@ -164,14 +168,25 @@ impl PackageDb {
     pub fn new(platform: Platform) -> PackageDb {
         PackageDb {
             platform,
-            packages: BTreeMap::new(),
+            packages: Arc::default(),
         }
     }
 
     /// The built-in database for `platform`: realistic listings for the
     /// packages used by the paper's examples and our benchmarks.
+    ///
+    /// The table is built once per platform and process; each call
+    /// returns a clone that shares it.
     pub fn builtin(platform: Platform) -> PackageDb {
-        crate::builtin::builtin_db(platform)
+        static UBUNTU: OnceLock<PackageDb> = OnceLock::new();
+        static CENTOS: OnceLock<PackageDb> = OnceLock::new();
+        let table = match platform {
+            Platform::Ubuntu => &UBUNTU,
+            Platform::Centos => &CENTOS,
+        };
+        table
+            .get_or_init(|| crate::builtin::builtin_db(platform))
+            .clone()
     }
 
     /// The platform this database describes.
@@ -181,7 +196,13 @@ impl PackageDb {
 
     /// Adds (or replaces) a package spec.
     pub fn insert(&mut self, spec: PackageSpec) {
-        self.packages.insert(spec.name().to_string(), spec);
+        Arc::make_mut(&mut self.packages).insert(spec.name().to_string(), spec);
+    }
+
+    /// Whether `self` and `other` share one package table.
+    #[cfg(test)]
+    fn shares_table_with(&self, other: &PackageDb) -> bool {
+        Arc::ptr_eq(&self.packages, &other.packages)
     }
 
     /// Looks up a package.
@@ -272,7 +293,7 @@ impl PackageDb {
                 continue;
             }
             out.push(self.package(n).expect("seen packages exist"));
-            for (other, spec) in &self.packages {
+            for (other, spec) in self.packages.iter() {
                 if spec.depends().iter().any(|d| d == n) {
                     queue.push_back(other);
                 }
@@ -361,6 +382,27 @@ mod tests {
         db.insert(PackageSpec::new("b", vec![p("/b")], vec!["a".to_string()]));
         assert_eq!(db.install_closure("a").unwrap().len(), 2);
         assert_eq!(db.remove_closure("a").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn builtin_tables_are_shared_and_copied_on_write() {
+        let a = PackageDb::builtin(Platform::Ubuntu);
+        let b = PackageDb::builtin(Platform::Ubuntu);
+        assert!(a.shares_table_with(&b));
+        let centos = PackageDb::builtin(Platform::Centos);
+        assert!(!a.shares_table_with(&centos));
+        assert!(a.contains("apache2") && !centos.contains("apache2"));
+        assert_eq!(centos.platform(), Platform::Centos);
+
+        let mut edited = PackageDb::builtin(Platform::Ubuntu);
+        edited.insert(PackageSpec::new("local-tool", vec![p("/opt/tool")], vec![]));
+        assert!(edited.contains("local-tool"));
+        assert!(!edited.shares_table_with(&a));
+        assert!(!a.contains("local-tool"));
+        let later = PackageDb::builtin(Platform::Ubuntu);
+        assert!(!later.contains("local-tool"));
+        assert!(later.shares_table_with(&a));
+        assert_eq!(edited.len(), later.len() + 1);
     }
 
     #[test]

@@ -183,6 +183,9 @@ pub struct Ctx {
     term_hits: u64,
     /// The persistent solver for [`Ctx::solve_assuming`].
     inc: Incremental,
+    /// Search counters summed over every one-shot
+    /// [`Ctx::solve_with_budget`] solver, which is dropped after its query.
+    oneshot: SolverStats,
 }
 
 impl Ctx {
@@ -754,7 +757,12 @@ impl Ctx {
                 return Ok(None);
             }
         }
-        match solver.solve() {
+        let result = solver.solve();
+        let s = solver.stats();
+        self.oneshot.conflicts += s.conflicts;
+        self.oneshot.decisions += s.decisions;
+        self.oneshot.propagations += s.propagations;
+        match result {
             SatResult::Sat(m) => Ok(Some(ModelView { model: m })),
             SatResult::Unsat => Ok(None),
             SatResult::Unknown => Err(SolveTimeout),
@@ -983,10 +991,14 @@ impl Ctx {
             "ctx.dedup_hits",
             (s.formula_dedup_hits + s.term_dedup_hits) as i64,
         );
-        let solver = self.solver_stats();
-        rehearsal_trace::counter_add("sat.conflicts", solver.conflicts);
-        rehearsal_trace::counter_add("sat.decisions", solver.decisions);
-        rehearsal_trace::counter_add("sat.propagations", solver.propagations);
+        // Both the persistent solver and the one-shot ones count.
+        let (solver, oneshot) = (self.solver_stats(), self.oneshot);
+        rehearsal_trace::counter_add("sat.conflicts", solver.conflicts + oneshot.conflicts);
+        rehearsal_trace::counter_add("sat.decisions", solver.decisions + oneshot.decisions);
+        rehearsal_trace::counter_add(
+            "sat.propagations",
+            solver.propagations + oneshot.propagations,
+        );
         let g = self.grounding_stats();
         rehearsal_trace::counter_add("sat.grounded_nodes", g.grounded_nodes);
         rehearsal_trace::counter_add("sat.grounded_clauses", g.grounded_clauses);
