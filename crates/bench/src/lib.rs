@@ -598,82 +598,6 @@ pub fn write_obs_json(generated_by: &str, rows: &[ObsBenchRow]) {
     println!("wrote obs bench report to {}", path.to_string_lossy());
 }
 
-/// One measured scenario of the differential-verification bench
-/// (`incremental_reuse`), for `BENCH_incremental.json` and the CI
-/// bench-smoke artifact.
-#[derive(Debug, Clone)]
-pub struct IncrementalBenchRow {
-    /// Scenario label (`cold`, `warm-cache`, `format-edit`, `attr-edit`,
-    /// `metadata-cold`, `metadata-replay`).
-    pub scenario: String,
-    /// Wall time for the whole fleet run, milliseconds.
-    pub wall_ms: f64,
-    /// Manifests in the run.
-    pub manifests: usize,
-    /// Rows answered without analysis (cache or baseline replay).
-    pub cached: usize,
-    /// Deterministic / nondeterministic verdict counts (pinned; drift
-    /// panics in the bench).
-    pub deterministic: usize,
-    /// See [`IncrementalBenchRow::deterministic`].
-    pub nondeterministic: usize,
-    /// Resources reused across the fleet (outside every dirty cone).
-    pub resources_clean: u64,
-    /// Resources re-analyzed (inside a dirty cone, or cold).
-    pub resources_dirty: u64,
-    /// Pair commutativity verdicts answered from the baseline.
-    pub pairs_reused: u64,
-}
-
-/// Serializes incremental rows via the shared `fleet::json` value model.
-pub fn incremental_rows_to_json(generated_by: &str, rows: &[IncrementalBenchRow]) -> String {
-    use rehearsal::fleet::json::Json;
-    let results: Vec<Json> = rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("scenario", Json::str(&r.scenario)),
-                ("wall_ms", Json::Num((r.wall_ms * 1000.0).round() / 1000.0)),
-                ("manifests", Json::num(r.manifests as u32)),
-                ("cached", Json::num(r.cached as u32)),
-                ("deterministic", Json::num(r.deterministic as u32)),
-                ("nondeterministic", Json::num(r.nondeterministic as u32)),
-                ("resources_clean", Json::Num(r.resources_clean as f64)),
-                ("resources_dirty", Json::Num(r.resources_dirty as f64)),
-                ("pairs_reused", Json::Num(r.pairs_reused as f64)),
-            ])
-        })
-        .collect();
-    let doc = Json::obj([
-        ("generated_by", Json::str(generated_by)),
-        (
-            "method",
-            Json::str(
-                "one fleet run per scenario over the bundled suites; verdicts pinned \
-                 (7 det / 6 nondet, metadata 3/3) and compared row-by-row against the \
-                 cold run — any drift panics, so reuse can only change wall time",
-            ),
-        ),
-        ("results", Json::Arr(results)),
-    ]);
-    doc.render_pretty()
-}
-
-/// Writes the incremental report to the path named by
-/// `REHEARSAL_BENCH_JSON`, when set (CI uploads it as the
-/// `BENCH_incremental.json` artifact).
-pub fn write_incremental_json(generated_by: &str, rows: &[IncrementalBenchRow]) {
-    let Some(path) = std::env::var_os("REHEARSAL_BENCH_JSON") else {
-        return;
-    };
-    let json = incremental_rows_to_json(generated_by, rows);
-    std::fs::write(&path, json).expect("write REHEARSAL_BENCH_JSON");
-    println!(
-        "wrote incremental bench report to {}",
-        path.to_string_lossy()
-    );
-}
-
 /// One measured scenario of the daemon-throughput bench
 /// (`serve_throughput`), for `BENCH_serve.json` and the CI bench-smoke
 /// artifact.

@@ -3,7 +3,7 @@
 //! formulas, and decide determinism with one SAT query (Theorem 1).
 
 use crate::bitset::Bits;
-use crate::commutativity::{accesses, AccessSummary};
+use crate::commutativity::{accesses, commutes, AccessSummary};
 use crate::domain::Domain;
 use crate::encoder::{Encoder, StateKey, SymState};
 use crate::prune::prune_graph;
@@ -545,12 +545,7 @@ struct Explorer<'a> {
 }
 
 impl<'a> Explorer<'a> {
-    fn new(
-        graph: &'a FsGraph,
-        options: &'a AnalysisOptions,
-        deadline: Option<Instant>,
-        oracle: Option<&crate::footprint::CommuteOracle>,
-    ) -> Self {
+    fn new(graph: &'a FsGraph, options: &'a AnalysisOptions, deadline: Option<Instant>) -> Self {
         let n = graph.exprs.len();
         let to_bits = |sets: Vec<BTreeSet<usize>>| -> Vec<Bits> {
             sets.iter()
@@ -577,15 +572,7 @@ impl<'a> Explorer<'a> {
             for i in 0..n {
                 for j in (i + 1)..n {
                     // `commutes` is symmetric (Lemma 4's conditions are).
-                    // A baseline-seeded oracle short-circuits pairs whose
-                    // digests it has seen; answers are identical either way.
-                    if crate::footprint::commutes_with_oracle(
-                        oracle,
-                        graph.exprs[i],
-                        graph.exprs[j],
-                        &summaries[i],
-                        &summaries[j],
-                    ) {
+                    if commutes(&summaries[i], &summaries[j]) {
                         masks[i].insert(j);
                         masks[j].insert(i);
                     }
@@ -815,25 +802,6 @@ pub fn check_determinism(
     graph: &FsGraph,
     options: &AnalysisOptions,
 ) -> Result<DeterminismReport, AnalysisAborted> {
-    check_determinism_with_oracle(graph, options, None)
-}
-
-/// [`check_determinism`] with an optional
-/// [`CommuteOracle`](crate::footprint::CommuteOracle) that
-/// short-circuits pairwise commutativity checks (both in elimination and
-/// in the explorer's partial-order-reduction mask) with digest-keyed
-/// results from a prior run. Because the oracle only memoizes a pure
-/// structural function, the verdict is bit-identical to an oracle-free
-/// run; only wall time and the oracle's reuse counters change.
-///
-/// # Errors
-///
-/// Returns [`AnalysisAborted`] on timeout or sequence explosion.
-pub fn check_determinism_with_oracle(
-    graph: &FsGraph,
-    options: &AnalysisOptions,
-    oracle: Option<&crate::footprint::CommuteOracle>,
-) -> Result<DeterminismReport, AnalysisAborted> {
     let deadline = options.timeout.map(|t| Instant::now() + t);
     let n = graph.exprs.len();
     let summaries: Vec<Arc<AccessSummary>> = graph.exprs.iter().map(|&e| accesses(e)).collect();
@@ -843,12 +811,10 @@ pub fn check_determinism_with_oracle(
     let alive: BTreeSet<usize> = {
         let _span = rehearsal_trace::span_cat("eliminate", "core");
         if options.elimination && options.commutativity {
-            crate::elimination::surviving_nodes_with(
-                &graph.exprs,
+            crate::elimination::surviving_nodes(
                 &summaries,
                 &graph.successors(),
                 &graph.ancestor_sets(),
-                oracle,
             )
         } else {
             (0..n).collect()
@@ -888,7 +854,7 @@ pub fn check_determinism_with_oracle(
         enc.mark_read_only(p);
     }
     let initial = enc.initial_state();
-    let mut explorer = Explorer::new(&pruned, options, deadline, oracle);
+    let mut explorer = Explorer::new(&pruned, options, deadline);
     let early = explorer.run(&mut enc, initial.clone())?;
     let outputs = explorer.outputs;
 
@@ -981,7 +947,7 @@ pub fn check_determinism_with_oracle(
                 if let Some(d) = deadline {
                     exact.timeout = Some(d.saturating_duration_since(Instant::now()));
                 }
-                return check_determinism_with_oracle(graph, &exact, oracle);
+                return check_determinism(graph, &exact);
             }
             let cex = Counterexample {
                 initial: init_fs,

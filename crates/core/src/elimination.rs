@@ -9,8 +9,6 @@
 //! reports as most effective.
 
 use crate::commutativity::{commutes, AccessSummary};
-use crate::footprint::CommuteOracle;
-use rehearsal_fs::Expr;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -24,42 +22,6 @@ pub fn surviving_nodes(
     successors: &[Vec<usize>],
     ancestors: &[BTreeSet<usize>],
 ) -> BTreeSet<usize> {
-    surviving(None, summaries, successors, ancestors, None)
-}
-
-/// [`surviving_nodes`] with an optional [`CommuteOracle`] reusing
-/// digest-keyed pair verdicts from a prior run (`exprs` supplies the
-/// programs to digest). Answers are identical with or without the oracle;
-/// only its reuse counters observe the difference.
-pub fn surviving_nodes_with(
-    exprs: &[Expr],
-    summaries: &[Arc<AccessSummary>],
-    successors: &[Vec<usize>],
-    ancestors: &[BTreeSet<usize>],
-    oracle: Option<&CommuteOracle>,
-) -> BTreeSet<usize> {
-    surviving(Some(exprs), summaries, successors, ancestors, oracle)
-}
-
-fn surviving(
-    exprs: Option<&[Expr]>,
-    summaries: &[Arc<AccessSummary>],
-    successors: &[Vec<usize>],
-    ancestors: &[BTreeSet<usize>],
-    oracle: Option<&CommuteOracle>,
-) -> BTreeSet<usize> {
-    let commutes_ij = |i: usize, j: usize| -> bool {
-        match (exprs, oracle) {
-            (Some(es), Some(_)) => crate::footprint::commutes_with_oracle(
-                oracle,
-                es[i],
-                es[j],
-                &summaries[i],
-                &summaries[j],
-            ),
-            _ => commutes(&summaries[i], &summaries[j]),
-        }
-    };
     let n = summaries.len();
     let mut alive: BTreeSet<usize> = (0..n).collect();
     loop {
@@ -75,7 +37,7 @@ fn surviving(
                 if j == i || ancestors[i].contains(&j) {
                     continue;
                 }
-                if !commutes_ij(i, j) {
+                if !commutes(&summaries[i], &summaries[j]) {
                     continue 'candidates;
                 }
             }

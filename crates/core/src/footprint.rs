@@ -1,8 +1,6 @@
-//! Per-resource footprint summaries and structural digests — the
-//! foundation of differential (incremental) verification.
+//! Per-resource footprint summaries and structural digests.
 //!
-//! A fleet rerun after a small edit should cost time proportional to the
-//! *diff*, not the fleet. Three pieces make that possible:
+//! Two pieces live here:
 //!
 //! 1. **Structural digests** ([`expr_digest`], [`graph_digest`]): 64-bit
 //!    FNV-1a hashes of the *structure* of an FS program (node tags, path
@@ -14,24 +12,16 @@
 //! 2. **Footprints** ([`footprint`]): a per-resource summary of the read
 //!    set, write set, idempotently-ensured directories, metadata effects,
 //!    and observed directories, derived from the memoized [`accesses`]
-//!    summary. Footprints serialize into baseline entries so a later run
-//!    can reason about resources that no longer exist in the new graph.
-//! 3. **The commute oracle** ([`CommuteOracle`]): a digest-keyed store of
-//!    per-pair commutativity verdicts. Seeded from a baseline with the
-//!    pairs whose endpoints are *clean* (outside the [`dirty_cone`]), it
-//!    short-circuits the pairwise [`commutes`] computation during
-//!    re-analysis. Because `commutes` is a pure function of the two
-//!    expressions' structure and the digest identifies that structure,
-//!    a seeded answer is always identical to a recomputed one — reuse can
-//!    change wall time, never verdicts.
+//!    summary. [`Footprint::may_overlap`] splits a graph into the
+//!    components idempotence checks separately, and lint's race-candidate
+//!    rule (R2001) flags unordered overlapping pairs with it.
 
-use crate::commutativity::{accesses, commutes, Access};
+use crate::commutativity::{accesses, Access};
 use crate::determinism::FsGraph;
 use crate::memo::ExprMemo;
 use rehearsal_fs::{Expr, ExprNode, FsPath, Pred, PredNode};
 use rehearsal_sync::ShardedMap;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -197,16 +187,9 @@ pub fn graph_digest(graph: &FsGraph) -> u64 {
 
 /// The canonical footprint of one resource's FS program: what it reads,
 /// writes, manages metadata on, and which directories' child sets it
-/// observes — plus its structural digest.
-///
-/// Footprints are what baseline files persist per resource; the path sets
-/// are rendered as strings on disk and reparsed on load, so a later
-/// process (with different arena ids) can still test overlap against
-/// resources that were removed by an edit.
+/// observes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Footprint {
-    /// Structural digest of the program ([`expr_digest`]).
-    pub digest: u64,
     /// Paths the program reads (including idempotent ensure-dir checks).
     pub reads: BTreeSet<FsPath>,
     /// Paths the program writes or creates.
@@ -267,8 +250,8 @@ impl Footprint {
     }
 
     /// True when the footprints *may* touch overlapping state — the
-    /// conservative complement of [`Footprint::disjoint`], used to pull
-    /// resources into the [`dirty_cone`].
+    /// conservative complement of [`Footprint::disjoint`], the edge
+    /// relation of idempotence components and of lint's race candidates.
     pub fn may_overlap(&self, other: &Footprint) -> bool {
         !self.disjoint(other)
     }
@@ -284,10 +267,7 @@ static FOOTPRINTS: ExprMemo<Footprint> =
 pub fn footprint(e: Expr) -> Arc<Footprint> {
     FOOTPRINTS.get_or_compute(e, || {
         let summary = accesses(e);
-        let mut fp = Footprint {
-            digest: expr_digest(e),
-            ..Footprint::default()
-        };
+        let mut fp = Footprint::default();
         for (p, a) in summary.touched() {
             match a {
                 Access::Bot => {}
@@ -337,146 +317,6 @@ fn collect_pred_meta_paths(p: Pred, out: &mut BTreeSet<FsPath>) {
         }
         PredNode::Not(a) => collect_pred_meta_paths(a, out),
         _ => {}
-    }
-}
-
-/// A digest-keyed store of per-pair commutativity verdicts.
-///
-/// During re-analysis the explorer and the elimination pass consult the
-/// oracle before calling [`commutes`]; a seeded or previously-computed
-/// answer for the same digest pair is returned directly. `commutes` is a
-/// pure function of the two programs' structure, so a stored bit is
-/// always identical to what recomputation would produce — the oracle
-/// affects wall time and the `pairs_reused` counter, never verdicts.
-///
-/// Thread-safe: one oracle is shared across a job's analysis stages, and
-/// the pair store is a lock-striped [`ShardedMap`].
-#[derive(Debug, Default)]
-pub struct CommuteOracle {
-    pairs: ShardedMap<(u64, u64), bool>,
-    reused: AtomicU64,
-    computed: AtomicU64,
-}
-
-impl CommuteOracle {
-    /// An empty oracle (everything will be computed and recorded).
-    pub fn new() -> CommuteOracle {
-        CommuteOracle::default()
-    }
-
-    fn key(a: u64, b: u64) -> (u64, u64) {
-        (a.min(b), a.max(b))
-    }
-
-    /// Seeds a pair verdict from a baseline. Safe only because the digest
-    /// identifies structure: seed pairs must come from a prior run of the
-    /// same pure `commutes` over structurally identical programs.
-    pub fn seed(&self, a: u64, b: u64, commute: bool) {
-        self.pairs
-            .insert_if_absent(CommuteOracle::key(a, b), commute);
-    }
-
-    /// The commutativity verdict for the digest pair, consulting the
-    /// store first and computing (then recording) on a miss.
-    pub fn commutes_pair(&self, a: u64, b: u64, compute: impl FnOnce() -> bool) -> bool {
-        let key = CommuteOracle::key(a, b);
-        if let Some(bit) = self.pairs.get(&key) {
-            self.reused.fetch_add(1, Ordering::Relaxed);
-            return bit;
-        }
-        let bit = compute();
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        let (stored, _) = self.pairs.insert_if_absent(key, bit);
-        stored
-    }
-
-    /// How many pair lookups were answered from the store.
-    pub fn pairs_reused(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
-    }
-
-    /// How many pair verdicts were computed fresh this run.
-    pub fn pairs_computed(&self) -> u64 {
-        self.computed.load(Ordering::Relaxed)
-    }
-
-    /// Every stored pair (seeded and computed), sorted — the form a
-    /// baseline file persists.
-    pub fn export(&self) -> Vec<(u64, u64, bool)> {
-        let mut out: Vec<(u64, u64, bool)> = self
-            .pairs
-            .snapshot()
-            .into_iter()
-            .map(|((a, b), bit)| (a, b, bit))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-}
-
-/// Computes the *dirty cone* of an edit: the seed resources (those whose
-/// digest is new relative to the baseline) plus every resource that might
-/// interact with the edit — because its footprint may overlap a seed's or
-/// a removed baseline resource's footprint, or because it is ordered
-/// relative to a seed by a dependency edge.
-///
-/// Resources outside the cone are *clean*: their baseline pair verdicts
-/// may be seeded into a [`CommuteOracle`]. The cone itself is a
-/// performance-accounting boundary, not a soundness one — seeded answers
-/// are identical to recomputed ones by construction — so an
-/// overapproximate cone only reduces reuse. Overlap against removed
-/// resources uses the conservative serialized footprints; anything
-/// ambiguous overlaps.
-pub fn dirty_cone(
-    graph: &FsGraph,
-    seed: &BTreeSet<usize>,
-    removed: &[Footprint],
-) -> BTreeSet<usize> {
-    let footprints: Vec<Arc<Footprint>> = graph.exprs.iter().map(|&e| footprint(e)).collect();
-    let mut cone: BTreeSet<usize> = seed.clone();
-    // Resources that may interact with a resource the edit deleted (or
-    // rewrote beyond recognition) are dirty too: the baseline's pair
-    // verdicts involving the removed program say nothing about them now.
-    for (i, fp) in footprints.iter().enumerate() {
-        if removed.iter().any(|r| fp.may_overlap(r)) {
-            cone.insert(i);
-        }
-    }
-    // One expansion round: footprint overlap with, or a dependency edge
-    // touching, anything dirty so far.
-    let base = cone.clone();
-    for &d in &base {
-        for &(a, b) in &graph.edges {
-            if a == d {
-                cone.insert(b);
-            }
-            if b == d {
-                cone.insert(a);
-            }
-        }
-        for (i, fp) in footprints.iter().enumerate() {
-            if !cone.contains(&i) && fp.may_overlap(&footprints[d]) {
-                cone.insert(i);
-            }
-        }
-    }
-    cone
-}
-
-/// The pairwise commutativity of two resources, via the oracle when one
-/// is supplied. This is the single entry point the explorer and the
-/// elimination pass share, so `pairs_reused` counts every short-circuited
-/// pair exactly once per lookup site.
-pub(crate) fn commutes_with_oracle(
-    oracle: Option<&CommuteOracle>,
-    ea: Expr,
-    eb: Expr,
-    sa: &crate::commutativity::AccessSummary,
-    sb: &crate::commutativity::AccessSummary,
-) -> bool {
-    match oracle {
-        Some(o) => o.commutes_pair(expr_digest(ea), expr_digest(eb), || commutes(sa, sb)),
-        None => commutes(sa, sb),
     }
 }
 
@@ -550,7 +390,6 @@ mod tests {
         let fp = footprint(e);
         assert!(fp.writes.contains(&p("/etc/app.conf")));
         assert!(fp.meta.contains(&p("/etc/app.conf")));
-        assert_eq!(fp.digest, expr_digest(e));
     }
 
     #[test]
@@ -567,46 +406,5 @@ mod tests {
         let observer = footprint(Expr::rm(p("/spool"))); // rm observes children
         let writer = footprint(file("/spool/job", "j"));
         assert!(observer.may_overlap(&writer));
-    }
-
-    #[test]
-    fn oracle_reuses_seeded_pairs_and_records_computed_ones() {
-        let oracle = CommuteOracle::new();
-        oracle.seed(1, 2, true);
-        assert!(oracle.commutes_pair(2, 1, || unreachable!("seeded pair must not recompute")));
-        assert_eq!(oracle.pairs_reused(), 1);
-        assert!(!oracle.commutes_pair(3, 4, || false));
-        assert_eq!(oracle.pairs_computed(), 1);
-        // The computed pair is now stored.
-        assert!(!oracle.commutes_pair(4, 3, || true));
-        assert_eq!(oracle.pairs_reused(), 2);
-        assert_eq!(oracle.export(), vec![(1, 2, true), (3, 4, false)]);
-    }
-
-    #[test]
-    fn dirty_cone_pulls_in_overlap_and_edges() {
-        let exprs = vec![
-            file("/a/one", "1"),   // 0: edited (seed)
-            file("/a/one.d", "2"), // 1: disjoint from everything
-            file("/b/two", "3"),   // 2: edge-ordered after 0
-            file("/c/three", "4"), // 3: clean
-        ];
-        let g = graph(exprs, &[(0, 2)]);
-        let cone = dirty_cone(&g, &BTreeSet::from([0]), &[]);
-        assert!(cone.contains(&0), "seed is dirty");
-        assert!(cone.contains(&2), "edge-ordered resource joins the cone");
-        assert!(
-            !cone.contains(&3),
-            "disjoint unordered resource stays clean"
-        );
-
-        // A removed resource's serialized footprint dirties overlaps.
-        let removed = Footprint {
-            digest: 0,
-            writes: BTreeSet::from([p("/c/three")]),
-            ..Footprint::default()
-        };
-        let cone = dirty_cone(&g, &BTreeSet::new(), &[removed]);
-        assert!(cone.contains(&3));
     }
 }

@@ -53,13 +53,11 @@ pub mod repair;
 pub mod report;
 
 pub use determinism::{
-    check_determinism, check_determinism_with_oracle, AnalysisAborted, AnalysisOptions,
-    CancelToken, Counterexample, DeterminismReport, DeterminismStats, FsGraph,
+    check_determinism, AnalysisAborted, AnalysisOptions, CancelToken, Counterexample,
+    DeterminismReport, DeterminismStats, FsGraph,
 };
 pub use equivalence::{check_expr_equivalence, EquivalenceReport};
-pub use footprint::{
-    dirty_cone, expr_digest, footprint, graph_digest, pred_digest, CommuteOracle, Footprint,
-};
+pub use footprint::{expr_digest, footprint, graph_digest, pred_digest, Footprint};
 pub use idempotence::{
     check_expr_idempotence, check_idempotence, IdempotenceCounterexample, IdempotenceReport,
 };

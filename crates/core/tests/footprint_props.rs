@@ -1,24 +1,14 @@
-//! Seeded property tests for the differential-verification layer.
+//! Seeded property tests for footprint summaries.
 //!
-//! Two claims carry the whole incremental design, so both are tested
-//! against the concrete semantics with seeded random programs:
-//!
-//! 1. **Disjoint footprints commute** — when two programs' footprint
-//!    summaries are disjoint, running `a; b` and `b; a` is equivalent on
-//!    every input (the summaries soundly overapproximate the programs'
-//!    effects).
-//! 2. **Oracle reuse never changes verdicts** — seeding a
-//!    [`CommuteOracle`] with pair verdicts exported from a previous run
-//!    (of the *unedited* graph) and re-analyzing an edited graph yields a
-//!    result bit-identical to a cold run of the same edited graph: same
-//!    verdict, same exploration statistics.
+//! Idempotence components and lint's race candidates both rest on one
+//! claim, tested here against the concrete semantics with seeded random
+//! programs: **disjoint footprints commute** — when two programs'
+//! footprint summaries are disjoint, running `a; b` and `b; a` is
+//! equivalent on every input (the summaries soundly overapproximate the
+//! programs' effects).
 
-use rehearsal_core::{
-    check_determinism, check_determinism_with_oracle, check_expr_equivalence, footprint,
-    AnalysisOptions, CommuteOracle, FsGraph,
-};
+use rehearsal_core::{check_expr_equivalence, footprint, AnalysisOptions};
 use rehearsal_fs::{Content, Expr, FsPath, MetaField, Pred};
-use std::collections::BTreeSet;
 
 /// A tiny splitmix-style generator: deterministic, seed-printable, no
 /// dependencies.
@@ -93,21 +83,6 @@ fn program(rng: &mut Rng) -> Expr {
     e
 }
 
-/// A random resource graph: `n` programs plus random forward edges.
-fn graph(rng: &mut Rng, n: usize) -> FsGraph {
-    let exprs: Vec<Expr> = (0..n).map(|_| program(rng)).collect();
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.pick(4) == 0 {
-                edges.insert((i, j));
-            }
-        }
-    }
-    let names = (0..n).map(|i| format!("r{i}")).collect();
-    FsGraph::new(exprs, edges, names)
-}
-
 #[test]
 fn disjoint_footprints_commute_concretely() {
     let mut rng = Rng(0x5eed_0001);
@@ -131,57 +106,4 @@ fn disjoint_footprints_commute_concretely() {
         checked >= 20,
         "generator produced too few disjoint pairs ({checked})"
     );
-}
-
-#[test]
-fn oracle_reuse_is_bit_identical_to_cold_runs() {
-    let mut rng = Rng(0x5eed_0002);
-    let options = AnalysisOptions::default();
-    for round in 0..30 {
-        let n = 3 + rng.pick(2);
-        let base = graph(&mut rng, n);
-
-        // Analyze the base graph with a recording oracle; its exported
-        // pairs play the role of a baseline file.
-        let recorder = CommuteOracle::new();
-        let with_recorder = check_determinism_with_oracle(&base, &options, Some(&recorder))
-            .expect("analysis must not abort");
-        let cold_base = check_determinism(&base, &options).expect("analysis must not abort");
-        assert_eq!(
-            with_recorder.is_deterministic(),
-            cold_base.is_deterministic(),
-            "round {round}: an empty oracle changed the base verdict"
-        );
-        assert_eq!(
-            with_recorder.stats(),
-            cold_base.stats(),
-            "round {round}: an empty oracle changed base exploration stats"
-        );
-
-        // Random edit: replace one resource's program.
-        let mut exprs = base.exprs.clone();
-        let victim = rng.pick(exprs.len());
-        exprs[victim] = program(&mut rng);
-        let names = (0..exprs.len()).map(|i| format!("r{i}")).collect();
-        let edited = FsGraph::new(exprs, base.edges.clone(), names);
-
-        // Re-analyze the edited graph cold and with the seeded oracle.
-        let cold = check_determinism(&edited, &options).expect("analysis must not abort");
-        let seeded = CommuteOracle::new();
-        for (a, b, bit) in recorder.export() {
-            seeded.seed(a, b, bit);
-        }
-        let warm = check_determinism_with_oracle(&edited, &options, Some(&seeded))
-            .expect("analysis must not abort");
-        assert_eq!(
-            warm.is_deterministic(),
-            cold.is_deterministic(),
-            "round {round}: oracle reuse flipped the verdict"
-        );
-        assert_eq!(
-            warm.stats(),
-            cold.stats(),
-            "round {round}: oracle reuse changed exploration stats"
-        );
-    }
 }

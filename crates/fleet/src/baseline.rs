@@ -1,29 +1,28 @@
-//! The differential-verification baseline store.
+//! The baseline store: one verdict pin per manifest.
 //!
-//! A baseline file (`rehearsal fleet --baseline FILE`) persists, per
-//! manifest, everything a later run needs to re-verify in time
-//! proportional to the *diff*:
+//! A baseline file (`rehearsal fleet --baseline FILE`, and the
+//! `baseline.jsonl` of a serve state directory) records, per manifest,
+//! the canonical **graph digest** of its lowered resource graph and the
+//! verdict, detail and source-anchored diagnostics that analysis produced
+//! for it. It serves three readers:
 //!
-//! - the canonical **graph digest** of the lowered resource graph — if it
-//!   matches, the recorded verdict is replayed with zero re-analysis;
-//! - per-resource **footprint summaries** (structural digest plus
-//!   read/write/ensured/meta/observed path sets, serialized as path
-//!   strings so a
-//!   later process can reason about resources an edit *removed*);
-//! - the **per-pair commutativity verdicts** keyed by digest pair, which
-//!   seed a `CommuteOracle` for the clean remainder of an edited graph;
-//! - the **pruning decisions** (read-only path residues), revalidated —
-//!   not trusted — on replay, since they are linear-time to recompute;
-//! - the recorded verdict, detail, and source-anchored diagnostics.
+//! - **replay** — a manifest whose graph digest matches its entry gets
+//!   the recorded verdict with zero re-analysis, even without a verdict
+//!   cache; a renamed but unedited manifest is found by digest;
+//! - **coverage** — `rehearsal coverage --baseline FILE` compares fresh
+//!   verdicts against the pins and gates on drift;
+//! - **serve drift detection** — the daemon flags a watched manifest
+//!   whose verdict moved away from its pin.
 //!
 //! The on-disk format is JSONL like the verdict cache: one entry per
-//! line, schema-tagged, append-friendly; corrupt or stale-schema lines
-//! read as misses. Entries are keyed by `(manifest name, options
-//! fingerprint)` — the fingerprint covers analyzer version, platform, and
-//! analysis options — with a digest-based fallback lookup so a renamed
-//! but unedited manifest still reuses its entry.
+//! line, schema-tagged; corrupt or stale-schema lines read as misses.
+//! Keys the decoder does not know are ignored, so lines written by
+//! older releases (which also carried per-resource footprints, edges,
+//! pair verdicts and pruning residues) still load, and the next save
+//! rewrites them in the slim form. Entries are keyed by `(manifest name,
+//! options fingerprint)` — the fingerprint covers analyzer version,
+//! platform, and analysis options.
 
-use crate::cache::fnv1a_digest;
 use crate::json::{diagnostic_from_json, diagnostic_json, parse, Json};
 use crate::report::Verdict;
 use rehearsal_diag::Diagnostic;
@@ -33,26 +32,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// The baseline file schema version. Bump whenever entry contents change
-/// meaning (digest scheme, footprint fields, pair encoding); stale-schema
-/// lines are skipped on load, so an old baseline degrades to a cold run.
+/// meaning (for example the digest scheme); stale-schema lines are
+/// skipped on load, so an old baseline degrades to a cold run.
 pub const BASELINE_SCHEMA_VERSION: u32 = 1;
-
-/// One resource's persisted footprint summary.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResourceSummary {
-    /// Structural digest of the resource's FS program.
-    pub digest: u64,
-    /// Paths the program reads.
-    pub reads: Vec<String>,
-    /// Paths the program writes or creates.
-    pub writes: Vec<String>,
-    /// Directories the program idempotently ensures (guarded mkdir).
-    pub ensured: Vec<String>,
-    /// Paths whose metadata the program manages or observes.
-    pub meta: Vec<String>,
-    /// Directories whose children the program observes.
-    pub observed: Vec<String>,
-}
 
 /// One manifest's baseline entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,15 +48,6 @@ pub struct BaselineEntry {
     pub options: u64,
     /// Canonical digest of the lowered resource graph.
     pub graph_digest: u64,
-    /// Per-resource footprint summaries, in graph order.
-    pub resources: Vec<ResourceSummary>,
-    /// Dependency edges between resource indices.
-    pub edges: Vec<(usize, usize)>,
-    /// Per-pair commutativity verdicts, keyed by (digest, digest) with
-    /// the smaller digest first.
-    pub pairs: Vec<(u64, u64, bool)>,
-    /// Paths the pruning pass decided were read-only residues.
-    pub pruned: Vec<String>,
     /// The recorded verdict.
     pub verdict: Verdict,
     /// Human-readable verdict detail.
@@ -214,17 +187,6 @@ fn from_hex(j: &Json) -> Option<u64> {
     u64::from_str_radix(j.as_str()?, 16).ok()
 }
 
-fn str_arr(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(Json::str).collect())
-}
-
-fn decode_str_arr(j: &Json) -> Option<Vec<String>> {
-    j.as_arr()?
-        .iter()
-        .map(|s| s.as_str().map(str::to_string))
-        .collect()
-}
-
 fn encode_entry(entry: &BaselineEntry) -> Json {
     Json::obj([
         ("schema", Json::num(BASELINE_SCHEMA_VERSION)),
@@ -232,46 +194,6 @@ fn encode_entry(entry: &BaselineEntry) -> Json {
         ("platform", Json::str(entry.platform.to_string())),
         ("options", hex(entry.options)),
         ("graph_digest", hex(entry.graph_digest)),
-        (
-            "resources",
-            Json::Arr(
-                entry
-                    .resources
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("digest", hex(r.digest)),
-                            ("reads", str_arr(&r.reads)),
-                            ("writes", str_arr(&r.writes)),
-                            ("ensured", str_arr(&r.ensured)),
-                            ("meta", str_arr(&r.meta)),
-                            ("observed", str_arr(&r.observed)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "edges",
-            Json::Arr(
-                entry
-                    .edges
-                    .iter()
-                    .map(|&(a, b)| Json::Arr(vec![Json::num(a as u32), Json::num(b as u32)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "pairs",
-            Json::Arr(
-                entry
-                    .pairs
-                    .iter()
-                    .map(|&(a, b, commute)| Json::Arr(vec![hex(a), hex(b), Json::Bool(commute)]))
-                    .collect(),
-            ),
-        ),
-        ("pruned", str_arr(&entry.pruned)),
         ("verdict", Json::str(entry.verdict.label())),
         ("detail", Json::str(&entry.detail)),
         (
@@ -285,54 +207,11 @@ fn decode_entry(json: &Json) -> Option<BaselineEntry> {
     if json.get("schema")?.as_u64()? != u64::from(BASELINE_SCHEMA_VERSION) {
         return None;
     }
-    let resources = json
-        .get("resources")?
-        .as_arr()?
-        .iter()
-        .map(|r| {
-            Some(ResourceSummary {
-                digest: from_hex(r.get("digest")?)?,
-                reads: decode_str_arr(r.get("reads")?)?,
-                writes: decode_str_arr(r.get("writes")?)?,
-                ensured: decode_str_arr(r.get("ensured")?)?,
-                meta: decode_str_arr(r.get("meta")?)?,
-                observed: decode_str_arr(r.get("observed")?)?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let edges = json
-        .get("edges")?
-        .as_arr()?
-        .iter()
-        .map(|e| {
-            let pair = e.as_arr()?;
-            match pair {
-                [a, b] => Some((a.as_u64()? as usize, b.as_u64()? as usize)),
-                _ => None,
-            }
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let pairs = json
-        .get("pairs")?
-        .as_arr()?
-        .iter()
-        .map(|p| {
-            let triple = p.as_arr()?;
-            match triple {
-                [a, b, commute] => Some((from_hex(a)?, from_hex(b)?, commute.as_bool()?)),
-                _ => None,
-            }
-        })
-        .collect::<Option<Vec<_>>>()?;
     Some(BaselineEntry {
         manifest: json.get("manifest")?.as_str()?.to_string(),
         platform: json.get("platform")?.as_str()?.parse().ok()?,
         options: from_hex(json.get("options")?)?,
         graph_digest: from_hex(json.get("graph_digest")?)?,
-        resources,
-        edges,
-        pairs,
-        pruned: decode_str_arr(json.get("pruned")?)?,
         verdict: Verdict::from_label(json.get("verdict")?.as_str()?)?,
         detail: json.get("detail")?.as_str()?.to_string(),
         diagnostics: json
@@ -342,13 +221,6 @@ fn decode_entry(json: &Json) -> Option<BaselineEntry> {
             .map(diagnostic_from_json)
             .collect::<Option<Vec<_>>>()?,
     })
-}
-
-/// A content hash of a baseline entry's identity-bearing fields, used by
-/// tests to assert that replayed entries are bit-identical to recorded
-/// ones.
-pub fn entry_fingerprint(entry: &BaselineEntry) -> u64 {
-    fnv1a_digest(encode_entry(entry).render().as_bytes())
 }
 
 #[cfg(test)]
@@ -361,17 +233,6 @@ mod tests {
             platform: Platform::Ubuntu,
             options: 0xabcd,
             graph_digest: digest,
-            resources: vec![ResourceSummary {
-                digest: 0x11,
-                reads: vec!["/etc".to_string()],
-                writes: vec!["/etc/x".to_string()],
-                ensured: vec!["/etc".to_string()],
-                meta: vec![],
-                observed: vec![],
-            }],
-            edges: vec![(0, 0)],
-            pairs: vec![(0x11, 0x22, true)],
-            pruned: vec!["/etc/x".to_string()],
             verdict: Verdict::Deterministic,
             detail: String::new(),
             diagnostics: vec![Diagnostic::error("R3001", "race").with_primary(
@@ -383,6 +244,10 @@ mod tests {
             )],
         }
     }
+
+    /// The keys older releases wrote next to the pin; none is read or
+    /// written any more.
+    const DROPPED_KEYS: [&str; 4] = ["resources", "edges", "pairs", "pruned"];
 
     #[test]
     fn roundtrip_through_disk() {
@@ -400,35 +265,95 @@ mod tests {
         assert_eq!(reloaded.len(), 1);
         let hit = reloaded.get("site.pp", 0xabcd).unwrap();
         assert_eq!(hit, &entry("site.pp", 0xfeed));
-        assert_eq!(
-            entry_fingerprint(hit),
-            entry_fingerprint(&entry("site.pp", 0xfeed))
-        );
 
-        // A large entry: hundreds of non-ASCII, quote- and
-        // backslash-bearing paths and a long detail on one line.
-        let mut big = entry("big \"site\".pp", 0xbeef);
-        let paths: Vec<String> = (0..400)
-            .map(|i| format!("/srv/vérité-{i}/\"q\"\\b→{i}/😀\tx"))
-            .collect();
-        big.resources = (0..6)
-            .map(|r| ResourceSummary {
-                digest: r,
-                reads: paths.clone(),
-                writes: paths[r as usize..].to_vec(),
-                ensured: paths[..r as usize * 10].to_vec(),
-                meta: paths.iter().rev().cloned().collect(),
-                observed: vec!["/srv".to_string()],
-            })
-            .collect();
-        big.pruned = paths.clone();
+        // A large entry: a non-ASCII, quote- and backslash-bearing name
+        // and a 32 KB detail on one line.
+        let mut big = entry("big \"site\"/vérité\\😀\t.pp", 0xbeef);
         big.detail = "détail \"€\" \\ ".repeat(2_000);
         let mut store = BaselineStore::open(&path).unwrap();
         store.put(big.clone());
         store.save().unwrap();
         let reloaded = BaselineStore::open(&path).unwrap();
         assert_eq!(reloaded.len(), 2);
-        assert_eq!(reloaded.get("big \"site\".pp", 0xabcd), Some(&big));
+        assert_eq!(reloaded.get(&big.manifest, 0xabcd), Some(&big));
+    }
+
+    #[test]
+    fn saved_entries_hold_only_the_pin() {
+        let dir = std::env::temp_dir().join("rehearsal-baseline-slim");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut store = BaselineStore::open(&path).unwrap();
+        store.put(entry("site.pp", 0xfeed));
+        store.save().unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let line = parse(text.trim()).unwrap();
+        let Json::Obj(fields) = &line else {
+            panic!("entry is not an object: {text}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "schema",
+                "manifest",
+                "platform",
+                "options",
+                "graph_digest",
+                "verdict",
+                "detail",
+                "diagnostics"
+            ]
+        );
+        for key in DROPPED_KEYS {
+            assert!(!text.contains(&format!("\"{key}\"")), "{key} in {text}");
+        }
+    }
+
+    #[test]
+    fn lines_with_dropped_keys_load_and_are_rewritten_slim() {
+        let dir = std::env::temp_dir().join("rehearsal-baseline-legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.jsonl");
+        // A line as older releases wrote it: the pin plus footprints,
+        // edges, pair verdicts and pruning residues.
+        let legacy = "{\"schema\": 1, \"manifest\": \"old.pp\", \"platform\": \"ubuntu\", \
+                      \"options\": \"000000000000abcd\", \"graph_digest\": \"000000000000feed\", \
+                      \"resources\": [{\"digest\": \"0000000000000011\", \"reads\": [\"/etc\"], \
+                      \"writes\": [\"/etc/x\"], \"ensured\": [\"/etc\"], \"meta\": [], \
+                      \"observed\": []}], \"edges\": [[0, 0]], \
+                      \"pairs\": [[\"0000000000000011\", \"0000000000000022\", true]], \
+                      \"pruned\": [\"/etc/x\"], \"verdict\": \"nondeterministic\", \
+                      \"detail\": \"order A succeeds, order B errors\", \"diagnostics\": []}\n";
+        std::fs::write(&path, legacy).unwrap();
+
+        let mut store = BaselineStore::open(&path).unwrap();
+        let hit = store.get("old.pp", 0xabcd).expect("legacy line loads");
+        assert_eq!(hit.graph_digest, 0xfeed);
+        assert_eq!(hit.verdict, Verdict::Nondeterministic);
+        assert_eq!(hit.detail, "order A succeeds, order B errors");
+        assert_eq!(
+            store.find_by_digest(0xfeed, 0xabcd).map(|e| &e.manifest),
+            Some(&"old.pp".to_string())
+        );
+
+        // Loading alone does not rewrite the file; the next save does.
+        store.save().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), legacy);
+        store.put(entry("new.pp", 0xbeef));
+        store.save().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for key in DROPPED_KEYS {
+            assert!(!text.contains(&format!("\"{key}\"")), "{key} in {text}");
+        }
+        let reloaded = BaselineStore::open(&path).unwrap();
+        assert_eq!(reloaded.len(), 2);
+        assert_eq!(
+            reloaded.get("old.pp", 0xabcd).map(|e| &e.verdict),
+            Some(&Verdict::Nondeterministic)
+        );
     }
 
     #[test]

@@ -1,33 +1,28 @@
-//! The batch-verification engine: per-job pipeline, semantic cache
-//! consultation, baseline-driven differential reuse, and the parallel
-//! run loop.
+//! The batch-verification engine: per-job pipeline, verdict-cache and
+//! baseline consultation, and the parallel run loop.
 //!
 //! Since cache schema 5 the engine lowers every readable job *serially*
-//! (lowering is microseconds; analysis is the expensive part) so it can
-//! key the verdict cache on the canonical digest of the lowered graph
+//! (lowering is 0.1–2 ms; analysis is the expensive part) so it can key
+//! the verdict cache on the canonical digest of the lowered graph
 //! ([`graph_key`]) instead of raw source bytes. A formatting, comment,
 //! reorder, or rename edit therefore hits warm. When a [`BaselineStore`]
-//! is attached (`--baseline FILE`), a digest match replays the recorded
-//! verdict outright, and a *mismatch* computes the edit's dirty cone and
-//! seeds a [`CommuteOracle`] with the baseline's pair verdicts for the
-//! clean remainder — re-verification in time proportional to the diff,
-//! with verdicts bit-identical to a cold run by construction (the oracle
-//! only memoizes the pure structural `commutes` function).
+//! is attached (`--baseline FILE`), a manifest whose graph digest matches
+//! its pin (by name, or by digest after a rename) replays the pinned
+//! verdict outright; any other manifest is analyzed cold and its verdict
+//! re-pinned.
 
-use crate::baseline::{BaselineEntry, BaselineStore, ResourceSummary};
+use crate::baseline::{BaselineEntry, BaselineStore};
 use crate::cache::{graph_key, job_key, options_fingerprint, CachedVerdict, VerdictCache};
 use crate::report::{AnalysisCounters, FleetReport, JobResult, ReuseCounts, Verdict};
 use crate::scheduler::run_work_stealing_with_stats;
 use crate::state::StateDir;
 use rehearsal_core::{
-    aborted_diagnostic, check_determinism_with_oracle, check_idempotence, dirty_cone, expr_digest,
-    footprint, graph_digest, idempotence_diagnostics, race_diagnostic, AnalysisOptions,
-    CancelToken, CommuteOracle, Footprint, FsGraph, Rehearsal,
+    aborted_diagnostic, check_determinism, check_idempotence, graph_digest,
+    idempotence_diagnostics, race_diagnostic, AnalysisOptions, CancelToken, FsGraph, Rehearsal,
 };
 use rehearsal_diag::Diagnostic;
-use rehearsal_fs::FsPath;
 use rehearsal_pkgdb::Platform;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -108,11 +103,11 @@ impl FleetOptions {
 }
 
 /// The batch engine: options plus a shared [`StateDir`] holding the
-/// verdict cache and (optionally) the differential-verification
-/// baseline. Any number of engines — CLI runs, daemon request workers —
-/// can share one `Arc<StateDir>`; the handle's locks keep their cache
-/// and baseline traffic from interleaving, and flushing happens once,
-/// through the handle, instead of per run.
+/// verdict cache and (optionally) the baseline verdict pins. Any number
+/// of engines — CLI runs, daemon request workers — can share one
+/// `Arc<StateDir>`; the handle's locks keep their cache and baseline
+/// traffic from interleaving, and flushing happens once, through the
+/// handle, instead of per run.
 #[derive(Debug, Default)]
 pub struct FleetEngine {
     options: FleetOptions,
@@ -145,8 +140,8 @@ impl FleetEngine {
     }
 
     /// Attaches a baseline store to this engine's state handle. Runs
-    /// will consult it for differential reuse and record fresh entries
-    /// into it (flush the state to persist them).
+    /// replay its pins and record fresh ones into it (flush the state to
+    /// persist them).
     #[must_use]
     pub fn with_baseline(self, baseline: BaselineStore) -> FleetEngine {
         self.state.set_baseline(baseline);
@@ -287,29 +282,15 @@ impl FleetEngine {
                 // options — formatting/comment/reorder/rename edits land
                 // here.
                 graph_hits += 1;
-                let reuse = ReuseCounts {
-                    resources_clean: hit.resources,
-                    resources_dirty: 0,
-                    pairs_reused: 0,
-                };
+                let reuse = ReuseCounts::store(hit.resources);
                 let mut row = cached_row(job.name.clone(), job.platform, &hit, Some(reuse));
                 row.phases = lower_phases;
-                // Keep the baseline fresh for manifests it has never
-                // seen (pair verdicts are unknown on a pure cache hit,
-                // so never overwrite a richer recorded entry).
-                if self.state.has_baseline() && !self.state.baseline_contains(&job.name, fp) {
-                    self.state.baseline_put(baseline_entry(
-                        &graph,
-                        &analysis,
-                        job.name.clone(),
-                        job.platform,
-                        fp,
-                        digest,
-                        Vec::new(),
-                        &hit.verdict,
-                        &hit.detail,
-                        &hit.diagnostics,
-                    ));
+                // Keep the pin in step with the graph the cache answered
+                // for: an edit and revert can leave it on the edited graph.
+                if self.state.has_baseline() && !self.state.baseline_matches(&job.name, fp, digest)
+                {
+                    self.state
+                        .baseline_put(pin(job.name.clone(), job.platform, fp, digest, &hit));
                 }
                 rows.push(Some(row));
                 continue;
@@ -321,7 +302,7 @@ impl FleetEngine {
                 // with zero re-analysis.
                 baseline_hits += 1;
                 let n = graph.exprs.len();
-                let mut row = JobResult {
+                let row = JobResult {
                     manifest: job.name.clone(),
                     platform: job.platform,
                     verdict: entry.verdict.clone(),
@@ -334,13 +315,8 @@ impl FleetEngine {
                     cached: true,
                     counters: AnalysisCounters::default(),
                     diagnostics: entry.diagnostics.clone(),
-                    reuse: Some(ReuseCounts {
-                        resources_clean: n,
-                        resources_dirty: 0,
-                        pairs_reused: entry.pairs.len() as u64,
-                    }),
+                    reuse: Some(ReuseCounts::store(n)),
                 };
-                row.resources = n;
                 self.state.cache_put(key, verdict_of(&row));
                 if entry.manifest != job.name {
                     // A renamed (or moved) manifest found by digest:
@@ -356,13 +332,6 @@ impl FleetEngine {
             rows.push(None);
             let slots = key_slots.entry(key).or_default();
             if slots.is_empty() {
-                // A baseline *name* match with a different digest is an
-                // edit: slice it. No baseline entry at all still gets a
-                // plan (an empty oracle) so the run records pairs for
-                // the next baseline.
-                let plan = self.state.has_baseline().then(|| {
-                    build_reuse_plan(self.state.baseline_get(&job.name, fp).as_ref(), &graph)
-                });
                 pending.push(PendingJob {
                     key,
                     name: job.name.clone(),
@@ -371,7 +340,6 @@ impl FleetEngine {
                     diagnostics,
                     graph_digest: digest,
                     options_fp: fp,
-                    plan,
                     lower_phases,
                     enqueued: Instant::now(),
                 });
@@ -380,6 +348,7 @@ impl FleetEngine {
         }
 
         let workers = self.options.effective_workers().min(pending.len()).max(1);
+        let record = self.state.has_baseline();
 
         // Analyze the misses in parallel. When the caller has a trace
         // session installed, each job gets its *own* session (installed
@@ -395,47 +364,22 @@ impl FleetEngine {
                 diagnostics,
                 graph_digest,
                 options_fp,
-                plan,
                 lower_phases,
                 enqueued,
             } = pj;
             let queue_ms = enqueued.elapsed().as_millis() as u64;
             let job_start = Instant::now();
             let (outcome, phases, metrics) = traced(trace_jobs, || {
-                analyze_lowered(
-                    &graph,
-                    diagnostics,
-                    &analysis,
-                    cancel.as_ref(),
-                    plan.as_ref().map(|p| &p.oracle),
-                )
+                analyze_lowered(&graph, diagnostics, &analysis, cancel.as_ref())
             });
             let run_ms = job_start.elapsed().as_millis() as u64;
             let mut all_phases = lower_phases;
             all_phases.extend(phases);
-            let reuse = plan.as_ref().map(|p| ReuseCounts {
-                resources_clean: p.resources_clean,
-                resources_dirty: p.resources_dirty,
-                pairs_reused: p.oracle.pairs_reused(),
-            });
-            // Timeouts are not recorded: a later healthy run must not
+            let reuse = record.then(|| ReuseCounts::cold(graph.exprs.len()));
+            // Timeouts are not pinned: a later healthy run must not
             // replay an aborted verdict.
-            let update = plan
-                .filter(|_| !matches!(outcome.verdict, Verdict::Timeout))
-                .map(|p| {
-                    baseline_entry(
-                        &graph,
-                        &analysis,
-                        String::new(), // filled in per fan-out slot
-                        platform,
-                        options_fp,
-                        graph_digest,
-                        p.oracle.export(),
-                        &outcome.verdict,
-                        &outcome.detail,
-                        &outcome.diagnostics,
-                    )
-                });
+            let pin_as = (record && !matches!(outcome.verdict, Verdict::Timeout))
+                .then_some((options_fp, graph_digest));
             (
                 key,
                 JobResult {
@@ -454,20 +398,18 @@ impl FleetEngine {
                     reuse,
                 },
                 metrics,
-                update,
+                pin_as,
             )
         });
 
         let mut metrics = serial_metrics;
-        for (key, row, job_metrics, update) in outcomes {
+        for (key, row, job_metrics, pin_as) in outcomes {
             metrics.merge(&job_metrics);
-            self.state.cache_put(key, verdict_of(&row));
+            let verdict = verdict_of(&row);
             for (slot, name, platform) in key_slots.remove(&key).expect("pending key has slots") {
-                if let Some(template) = update.as_ref() {
-                    let mut entry = template.clone();
-                    entry.manifest = name.clone();
-                    entry.platform = platform;
-                    self.state.baseline_put(entry);
+                if let Some((fp, digest)) = pin_as {
+                    self.state
+                        .baseline_put(pin(name.clone(), platform, fp, digest, &verdict));
                 }
                 rows[slot] = Some(JobResult {
                     manifest: name,
@@ -475,6 +417,7 @@ impl FleetEngine {
                     ..row.clone()
                 });
             }
+            self.state.cache_put(key, verdict);
         }
 
         let mut rows: Vec<JobResult> = rows.into_iter().map(|r| r.expect("row filled")).collect();
@@ -496,19 +439,9 @@ impl FleetEngine {
             fleet_reg.observe("fleet.job_queue_ms", row.queue_ms);
             fleet_reg.observe("fleet.job_run_ms", row.run_ms);
         }
-        // The differential-verification scorecard: how much of this run
-        // was answered without re-analysis.
-        let (mut clean, mut dirty, mut pairs) = (0u64, 0u64, 0u64);
-        for reuse in rows.iter().filter_map(|r| r.reuse) {
-            clean += reuse.resources_clean as u64;
-            dirty += reuse.resources_dirty as u64;
-            pairs += reuse.pairs_reused;
-        }
+        // Which store answered the rows it answered.
         fleet_reg.counter_add("incremental.graph_hits", graph_hits);
         fleet_reg.counter_add("incremental.baseline_hits", baseline_hits);
-        fleet_reg.counter_add("incremental.resources_clean", clean);
-        fleet_reg.counter_add("incremental.resources_dirty", dirty);
-        fleet_reg.counter_add("incremental.pairs_reused", pairs);
         let mut fleet_metrics = fleet_reg.snapshot();
         fleet_metrics.merge(&metrics);
         // Make the run visible to the caller's own session too (e.g. the
@@ -537,18 +470,8 @@ struct PendingJob {
     diagnostics: Vec<Diagnostic>,
     graph_digest: u64,
     options_fp: u64,
-    plan: Option<ReusePlan>,
     lower_phases: Vec<(String, u64)>,
     enqueued: Instant,
-}
-
-/// The differential plan for one edited manifest: which resources are
-/// clean vs dirty, and the oracle seeded with the baseline's pair
-/// verdicts for the clean remainder.
-struct ReusePlan {
-    oracle: CommuteOracle,
-    resources_clean: usize,
-    resources_dirty: usize,
 }
 
 /// Runs `f` under a fresh per-job trace session (when tracing is on) and
@@ -630,147 +553,23 @@ fn verdict_of(row: &JobResult) -> CachedVerdict {
     }
 }
 
-/// Builds the baseline entry for an analyzed graph: per-resource
-/// footprint summaries, edges, pair verdicts, and (when pruning is on)
-/// the pruning decisions — everything a later differential run consults.
-#[allow(clippy::too_many_arguments)]
-fn baseline_entry(
-    graph: &FsGraph,
-    analysis: &AnalysisOptions,
+/// The baseline pin recording `verdict` for one manifest's graph.
+fn pin(
     manifest: String,
     platform: Platform,
-    options_fp: u64,
+    options: u64,
     graph_digest: u64,
-    pairs: Vec<(u64, u64, bool)>,
-    verdict: &Verdict,
-    detail: &str,
-    diagnostics: &[Diagnostic],
+    verdict: &CachedVerdict,
 ) -> BaselineEntry {
-    fn strings(paths: &BTreeSet<FsPath>) -> Vec<String> {
-        paths.iter().map(|p| p.to_string()).collect()
-    }
-    let resources = graph
-        .exprs
-        .iter()
-        .map(|&e| {
-            let f = footprint(e);
-            ResourceSummary {
-                digest: f.digest,
-                reads: strings(&f.reads),
-                writes: strings(&f.writes),
-                ensured: strings(&f.ensured),
-                meta: strings(&f.meta),
-                observed: strings(&f.observed_dirs),
-            }
-        })
-        .collect();
-    // Pruning decisions are recorded for inspection but *revalidated*
-    // (recomputed — it is linear-time) on replay, never trusted.
-    let pruned = if analysis.pruning {
-        rehearsal_core::prune::prune_graph(graph)
-            .1
-            .iter()
-            .map(|p| p.to_string())
-            .collect()
-    } else {
-        Vec::new()
-    };
     BaselineEntry {
         manifest,
         platform,
-        options: options_fp,
+        options,
         graph_digest,
-        resources,
-        edges: graph.edges.iter().copied().collect(),
-        pairs,
-        pruned,
-        verdict: verdict.clone(),
-        detail: detail.to_string(),
-        diagnostics: diagnostics.to_vec(),
+        verdict: verdict.verdict.clone(),
+        detail: verdict.detail.clone(),
+        diagnostics: verdict.diagnostics.clone(),
     }
-}
-
-/// Computes the differential plan for an edited manifest against its
-/// baseline entry (or a cold plan when there is none): multiset-match
-/// resource digests to find the edit's seeds and removals, take the
-/// [`dirty_cone`], and seed the oracle with baseline pair verdicts whose
-/// endpoints are both clean. Any ambiguity (an unparseable persisted
-/// footprint) falls back to a fully dirty graph — everything re-analyzed
-/// fresh, which is always sound.
-fn build_reuse_plan(entry: Option<&BaselineEntry>, graph: &FsGraph) -> ReusePlan {
-    let n = graph.exprs.len();
-    let cold = || ReusePlan {
-        oracle: CommuteOracle::new(),
-        resources_clean: 0,
-        resources_dirty: n,
-    };
-    let Some(entry) = entry else {
-        return cold();
-    };
-    let digests: Vec<u64> = graph.exprs.iter().map(|&e| expr_digest(e)).collect();
-    // Multiset-match current resources against the baseline's summaries;
-    // unmatched current resources are the edit's seeds.
-    let mut counts: HashMap<u64, usize> = HashMap::new();
-    for r in &entry.resources {
-        *counts.entry(r.digest).or_insert(0) += 1;
-    }
-    let mut seed: BTreeSet<usize> = BTreeSet::new();
-    for (i, d) in digests.iter().enumerate() {
-        match counts.get_mut(d) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => {
-                seed.insert(i);
-            }
-        }
-    }
-    // Summaries left unmatched describe resources the edit removed;
-    // their serialized footprints dirty whatever they may overlap.
-    let mut removed: Vec<Footprint> = Vec::new();
-    for r in &entry.resources {
-        let Some(c) = counts.get_mut(&r.digest) else {
-            continue;
-        };
-        if *c == 0 {
-            continue;
-        }
-        *c -= 1;
-        match parse_summary(r) {
-            Some(f) => removed.push(f),
-            None => return cold(),
-        }
-    }
-    let cone = dirty_cone(graph, &seed, &removed);
-    let oracle = CommuteOracle::new();
-    let clean: HashSet<u64> = (0..n)
-        .filter(|i| !cone.contains(i))
-        .map(|i| digests[i])
-        .collect();
-    for &(a, b, bit) in &entry.pairs {
-        if clean.contains(&a) && clean.contains(&b) {
-            oracle.seed(a, b, bit);
-        }
-    }
-    ReusePlan {
-        oracle,
-        resources_clean: n - cone.len(),
-        resources_dirty: cone.len(),
-    }
-}
-
-/// Reparses a persisted footprint summary; `None` means ambiguity (the
-/// caller falls back to a fully dirty graph).
-fn parse_summary(r: &ResourceSummary) -> Option<Footprint> {
-    fn set(paths: &[String]) -> Option<BTreeSet<FsPath>> {
-        paths.iter().map(|s| FsPath::parse(s).ok()).collect()
-    }
-    Some(Footprint {
-        digest: r.digest,
-        reads: set(&r.reads)?,
-        writes: set(&r.writes)?,
-        ensured: set(&r.ensured)?,
-        meta: set(&r.meta)?,
-        observed_dirs: set(&r.observed)?,
-    })
 }
 
 /// What one job's analysis produced.
@@ -797,14 +596,12 @@ impl AnalyzeOutcome {
 }
 
 /// Runs the determinism + idempotence pipeline on an already-lowered
-/// graph, routing pairwise commutativity through `oracle` when one is
-/// supplied.
+/// graph.
 fn analyze_lowered(
     graph: &FsGraph,
     mut diagnostics: Vec<Diagnostic>,
     analysis: &AnalysisOptions,
     cancel: Option<&CancelToken>,
-    oracle: Option<&CommuteOracle>,
 ) -> AnalyzeOutcome {
     if cancel.is_some_and(CancelToken::is_cancelled) {
         return AnalyzeOutcome::new(Verdict::Timeout, "cancelled before start");
@@ -816,7 +613,7 @@ fn analyze_lowered(
     let started = Instant::now();
     let resources = graph.exprs.len();
 
-    let determinism = match check_determinism_with_oracle(graph, &options, oracle) {
+    let determinism = match check_determinism(graph, &options) {
         Ok(report) => report,
         Err(aborted) => {
             let mut out = AnalyzeOutcome::new(Verdict::Timeout, aborted.reason.clone());
@@ -1020,14 +817,7 @@ mod tests {
             "# motd\nfile { '/etc/motd':\n  content => 'a',\n}",
         )]);
         assert_eq!(report.counts().cached, 1);
-        assert_eq!(
-            report.rows[0].reuse,
-            Some(ReuseCounts {
-                resources_clean: 1,
-                resources_dirty: 0,
-                pairs_reused: 0
-            })
-        );
+        assert_eq!(report.rows[0].reuse, Some(ReuseCounts::store(1)));
     }
 
     #[test]
@@ -1073,78 +863,48 @@ mod tests {
                                 file { '/srv/app.conf': content => 'b' }\n\
                                 file { '/var/banner': content => 'c' }";
 
+    /// A fresh baseline file path (the file itself does not exist).
+    fn baseline_path(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rehearsal-engine-{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.jsonl");
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
     #[test]
     fn baseline_cold_run_records_entries() {
         let mut engine = FleetEngine::new(FleetOptions::default().with_jobs(1))
             .with_baseline(BaselineStore::in_memory());
         let report = engine.run(vec![job("trio.pp", TWO_DISJOINT)]);
         assert_eq!(report.rows[0].verdict, Verdict::Deterministic);
-        // A cold run with a baseline attached reports everything dirty…
-        assert_eq!(
-            report.rows[0].reuse,
-            Some(ReuseCounts {
-                resources_clean: 0,
-                resources_dirty: 3,
-                pairs_reused: 0
-            })
-        );
-        // …and records an entry with footprints and pair verdicts.
+        // A cold run with a baseline attached reports a cold row…
+        assert_eq!(report.rows[0].reuse, Some(ReuseCounts::cold(3)));
+        // …and pins the verdict under the graph digest.
         assert_eq!(engine.state().baseline_len(), 1);
-        let entry = engine
-            .state()
-            .baseline_find_by_digest(
-                {
-                    let (graph, _) = Rehearsal::new(Platform::Ubuntu)
-                        .lower_source(TWO_DISJOINT)
-                        .unwrap();
-                    graph_digest(&graph)
-                },
-                options_fingerprint(Platform::Ubuntu, &AnalysisOptions::default()),
-            )
+        let (graph, _) = Rehearsal::new(Platform::Ubuntu)
+            .lower_source(TWO_DISJOINT)
             .unwrap();
-        assert_eq!(entry.manifest, "trio.pp");
-        assert_eq!(entry.resources.len(), 3);
-        assert!(!entry.pairs.is_empty(), "pair verdicts are recorded");
+        let fp = options_fingerprint(Platform::Ubuntu, &AnalysisOptions::default());
+        let entry = engine.state().baseline_get("trio.pp", fp).unwrap();
+        assert_eq!(entry.graph_digest, graph_digest(&graph));
+        assert_eq!(entry.verdict, Verdict::Deterministic);
     }
 
     #[test]
     fn baseline_replays_unedited_manifest_without_analysis() {
+        let path = baseline_path("replay");
         let mut engine = FleetEngine::new(FleetOptions::default().with_jobs(1))
-            .with_baseline(BaselineStore::in_memory());
+            .with_baseline(BaselineStore::open(&path).unwrap());
         let first = engine.run(vec![job("trio.pp", TWO_DISJOINT)]);
-        // Drop the verdict cache but keep the baseline: the digest match
-        // replays the verdict (the second run is "another process").
-        let baseline = engine.state().take_baseline().unwrap();
-        let mut engine2 =
-            FleetEngine::new(FleetOptions::default().with_jobs(1)).with_baseline(baseline);
+        engine.state().flush().unwrap();
+        // A second engine with the baseline but no verdict cache (another
+        // process): the digest match replays the verdict.
+        let mut engine2 = FleetEngine::new(FleetOptions::default().with_jobs(1))
+            .with_baseline(BaselineStore::open(&path).unwrap());
         let second = engine2.run(vec![job("trio.pp", TWO_DISJOINT)]);
         assert_eq!(second.rows[0].verdict, first.rows[0].verdict);
         assert!(second.rows[0].cached);
-        let reuse = second.rows[0].reuse.unwrap();
-        assert_eq!(reuse.resources_clean, 3);
-        assert_eq!(reuse.resources_dirty, 0);
-    }
-
-    #[test]
-    fn baseline_slices_an_edit_to_its_dirty_cone() {
-        let mut engine = FleetEngine::new(FleetOptions::default().with_jobs(1))
-            .with_baseline(BaselineStore::in_memory());
-        let cold = engine.run(vec![job("trio.pp", TWO_DISJOINT)]);
-        let baseline = engine.state().take_baseline().unwrap();
-        // Edit one attribute of one resource; the other two are disjoint
-        // from it, so the cone is exactly the edited resource.
-        let edited = TWO_DISJOINT.replace("content => 'c'", "content => 'changed'");
-        let mut engine2 =
-            FleetEngine::new(FleetOptions::default().with_jobs(1)).with_baseline(baseline);
-        let sliced = engine2.run(vec![job("trio.pp", &edited)]);
-        assert_eq!(sliced.rows[0].verdict, cold.rows[0].verdict);
-        assert!(!sliced.rows[0].cached);
-        let reuse = sliced.rows[0].reuse.unwrap();
-        assert_eq!(
-            reuse.resources_dirty, 1,
-            "only the edited resource is dirty"
-        );
-        assert_eq!(reuse.resources_clean, 2);
-        assert!(reuse.pairs_reused > 0, "clean pair verdicts were reused");
+        assert_eq!(second.rows[0].reuse, Some(ReuseCounts::store(3)));
     }
 }

@@ -15,10 +15,10 @@
 //!   structural digest of the lowered graph, so formatting, comment,
 //!   reorder, and rename edits still hit warm — with an on-disk JSONL
 //!   store;
-//! * [`BaselineStore`] — the differential-verification baseline
-//!   (`--baseline FILE`): per-manifest graph digests, footprint
-//!   summaries, and pair commutativity verdicts, so a rerun after an
-//!   edit re-analyzes only the dirty cone and reuses the rest;
+//! * [`BaselineStore`] — the verdict pins (`--baseline FILE`): per
+//!   manifest, the graph digest and the verdict analysis gave it, so an
+//!   unedited (or renamed) manifest replays without a cache and the
+//!   coverage gate can spot drift;
 //! * [`FleetReport`] — per-manifest verdict rows plus aggregate counters,
 //!   rendered as a human table or stable JSON for pipelines (the
 //!   `rehearsal fleet` CLI gates on [`FleetReport::all_clean`]).
@@ -52,7 +52,7 @@ pub mod scheduler;
 pub mod state;
 
 pub use annotations::{annotation_line, github_annotations, row_annotations};
-pub use baseline::{BaselineEntry, BaselineStore, ResourceSummary, BASELINE_SCHEMA_VERSION};
+pub use baseline::{BaselineEntry, BaselineStore, BASELINE_SCHEMA_VERSION};
 pub use cache::{
     fnv1a_digest, graph_key, job_key, options_fingerprint, CachedVerdict, VerdictCache,
     CACHE_SCHEMA_VERSION,

@@ -144,26 +144,41 @@ pub struct JobResult {
     /// errors, modeling warnings); empty for clean manifests. Cache hits
     /// restore the diagnostics recorded at analysis time.
     pub diagnostics: Vec<Diagnostic>,
-    /// Differential-verification accounting (`None` when the run had no
-    /// incremental context — no cache or baseline consulted this row).
+    /// Store accounting (`None` when the row was analyzed with no
+    /// baseline attached, or never reached a store).
     pub reuse: Option<ReuseCounts>,
 }
 
-/// How much of a job's analysis was reused from incremental context (the
-/// semantic verdict cache and the `--baseline` store).
+/// Whether a row's verdict came from a store (the semantic verdict cache
+/// or the `--baseline` pins) or from a cold analysis, counted in
+/// resources. A manifest is answered whole or analyzed whole, so one of
+/// the two resource counts is always zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseCounts {
-    /// Resources outside the edit's dirty cone: their baseline pair
-    /// verdicts were eligible for reuse. Equal to the resource count on a
-    /// full cache or baseline hit.
+    /// The row's resource count when a store answered it, else 0.
     pub resources_clean: usize,
-    /// Resources inside the dirty cone (edited, overlapping an edit, or
-    /// ordered relative to one): re-analyzed from scratch. Equal to the
-    /// resource count on a cold run.
+    /// The row's resource count when it was analyzed cold, else 0.
     pub resources_dirty: usize,
-    /// Pairwise commutativity checks answered from the baseline instead
-    /// of recomputed.
+    /// Always 0. Kept so `rehearsal-fleet/3` readers find the field.
     pub pairs_reused: u64,
+}
+
+impl ReuseCounts {
+    /// A row of `resources` resources answered by a store.
+    pub fn store(resources: usize) -> ReuseCounts {
+        ReuseCounts {
+            resources_clean: resources,
+            ..ReuseCounts::default()
+        }
+    }
+
+    /// A row of `resources` resources analyzed cold.
+    pub fn cold(resources: usize) -> ReuseCounts {
+        ReuseCounts {
+            resources_dirty: resources,
+            ..ReuseCounts::default()
+        }
+    }
 }
 
 /// Aggregate counters over a fleet run.
@@ -538,17 +553,7 @@ pub fn check_document_from_row(
             ),
         ),
         ("cached", Json::Bool(row.cached)),
-        (
-            "reuse",
-            match &row.reuse {
-                None => Json::Null,
-                Some(r) => Json::obj([
-                    ("resources_clean", Json::num(r.resources_clean as u32)),
-                    ("resources_dirty", Json::num(r.resources_dirty as u32)),
-                    ("pairs_reused", Json::Num(r.pairs_reused as f64)),
-                ]),
-            },
-        ),
+        ("reuse", reuse_json(row.reuse.as_ref())),
         (
             "metrics",
             match metrics {
@@ -557,6 +562,17 @@ pub fn check_document_from_row(
             },
         ),
     ])
+}
+
+fn reuse_json(reuse: Option<&ReuseCounts>) -> Json {
+    match reuse {
+        None => Json::Null,
+        Some(r) => Json::obj([
+            ("resources_clean", Json::num(r.resources_clean as u32)),
+            ("resources_dirty", Json::num(r.resources_dirty as u32)),
+            ("pairs_reused", Json::Num(r.pairs_reused as f64)),
+        ]),
+    }
 }
 
 fn row_json(row: &JobResult) -> Json {
@@ -580,17 +596,7 @@ fn row_json(row: &JobResult) -> Json {
             ),
         ),
         ("cached", Json::Bool(row.cached)),
-        (
-            "reuse",
-            match &row.reuse {
-                None => Json::Null,
-                Some(r) => Json::obj([
-                    ("resources_clean", Json::num(r.resources_clean as u32)),
-                    ("resources_dirty", Json::num(r.resources_dirty as u32)),
-                    ("pairs_reused", Json::Num(r.pairs_reused as f64)),
-                ]),
-            },
-        ),
+        ("reuse", reuse_json(row.reuse.as_ref())),
         (
             "diagnostics",
             Json::Arr(row.diagnostics.iter().map(diagnostic_json).collect()),
@@ -736,16 +742,12 @@ mod tests {
     #[test]
     fn reuse_counts_serialize_when_present() {
         let mut r = row(Verdict::Deterministic, false);
-        r.reuse = Some(ReuseCounts {
-            resources_clean: 7,
-            resources_dirty: 1,
-            pairs_reused: 21,
-        });
+        r.reuse = Some(ReuseCounts::store(7));
         let j = row_json(&r);
         let reuse = j.get("reuse").expect("reuse object");
         assert_eq!(reuse.get("resources_clean").and_then(Json::as_u64), Some(7));
-        assert_eq!(reuse.get("resources_dirty").and_then(Json::as_u64), Some(1));
-        assert_eq!(reuse.get("pairs_reused").and_then(Json::as_u64), Some(21));
+        assert_eq!(reuse.get("resources_dirty").and_then(Json::as_u64), Some(0));
+        assert_eq!(reuse.get("pairs_reused").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

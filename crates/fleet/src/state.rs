@@ -25,7 +25,7 @@ pub const STATE_CACHE_FILE: &str = "verdicts.jsonl";
 pub const STATE_BASELINE_FILE: &str = "baseline.jsonl";
 
 /// The open-once, flush-on-drop handle to a run's persistent state: the
-/// schema-5 verdict cache and (optionally) the differential baseline.
+/// schema-5 verdict cache and (optionally) the baseline verdict pins.
 /// All accessors take `&self`; a `Mutex` per store serializes concurrent
 /// engines, so requests sharing one handle never interleave writes.
 #[derive(Debug, Default)]
@@ -69,11 +69,6 @@ impl StateDir {
         *self.baseline.lock().expect("baseline lock") = Some(baseline);
     }
 
-    /// Detaches and returns the baseline store, leaving none attached.
-    pub fn take_baseline(&self) -> Option<BaselineStore> {
-        self.baseline.lock().expect("baseline lock").take()
-    }
-
     /// Whether a baseline store is attached.
     pub fn has_baseline(&self) -> bool {
         self.baseline.lock().expect("baseline lock").is_some()
@@ -114,28 +109,16 @@ impl StateDir {
     }
 
     /// Whether the baseline holds an entry for `(manifest, options
-    /// fingerprint)`; `false` when no store is attached. Unlike
-    /// [`StateDir::baseline_get`] this copies nothing out of the lock.
-    pub fn baseline_contains(&self, manifest: &str, options_fp: u64) -> bool {
+    /// fingerprint)` pinned at `graph_digest`; `false` when no store is
+    /// attached. Unlike [`StateDir::baseline_get`] this copies nothing out
+    /// of the lock.
+    pub fn baseline_matches(&self, manifest: &str, options_fp: u64, graph_digest: u64) -> bool {
         self.baseline
             .lock()
             .expect("baseline lock")
             .as_ref()
-            .is_some_and(|s| s.get(manifest, options_fp).is_some())
-    }
-
-    /// Any baseline entry with this graph digest under this fingerprint
-    /// (the rename-proof fallback), cloned out of the lock.
-    pub fn baseline_find_by_digest(
-        &self,
-        graph_digest: u64,
-        options_fp: u64,
-    ) -> Option<BaselineEntry> {
-        self.baseline
-            .lock()
-            .expect("baseline lock")
-            .as_ref()
-            .and_then(|s| s.find_by_digest(graph_digest, options_fp).cloned())
+            .and_then(|s| s.get(manifest, options_fp))
+            .is_some_and(|e| e.graph_digest == graph_digest)
     }
 
     /// The replay lookup the engine uses: the entry for this manifest if
@@ -258,10 +241,6 @@ mod tests {
             platform: rehearsal_pkgdb::Platform::Ubuntu,
             options: 1,
             graph_digest: 2,
-            resources: Vec::new(),
-            edges: Vec::new(),
-            pairs: Vec::new(),
-            pruned: Vec::new(),
             verdict: Verdict::Deterministic,
             detail: String::new(),
             diagnostics: Vec::new(),
@@ -271,12 +250,16 @@ mod tests {
         assert_eq!(state.baseline_len(), 0);
         state.baseline_put(entry());
         assert_eq!(state.baseline_len(), 0, "puts without a store are no-ops");
-        assert!(!state.baseline_contains("dropped.pp", 1));
+        assert!(!state.baseline_matches("dropped.pp", 1, 2));
         state.set_baseline(BaselineStore::in_memory());
         assert!(state.has_baseline());
         state.baseline_put(entry());
-        assert!(state.baseline_contains("dropped.pp", 1));
-        assert!(!state.baseline_contains("dropped.pp", 2));
-        assert!(!state.baseline_contains("other.pp", 1));
+        assert!(state.baseline_matches("dropped.pp", 1, 2));
+        assert!(
+            !state.baseline_matches("dropped.pp", 1, 3),
+            "digest differs"
+        );
+        assert!(!state.baseline_matches("dropped.pp", 2, 2));
+        assert!(!state.baseline_matches("other.pp", 1, 2));
     }
 }

@@ -17,7 +17,8 @@
 //! * [`history`] — the hash-chained `rehearsal-history/1` run log
 //!   (tamper-evident; torn tails truncate and degrade, never wedge);
 //! * [`watch`] — poll-based re-verification of a manifest directory
-//!   through the differential (dirty-cone) path;
+//!   through the normal check path (verdict cache, then baseline pins,
+//!   then cold analysis);
 //! * [`coverage`] — the `rehearsal coverage` CI gate: exit non-zero on
 //!   verdict drift against the pinned baseline or below-threshold
 //!   coverage.

@@ -311,9 +311,9 @@ impl Service {
     /// The whole check path, shared by `/v1/check` and the watcher. The
     /// response memo answers byte-identical repeats without touching
     /// the engine (no re-lowering); everything else runs a single-job
-    /// fleet engine against the resident state, so a repeat after an
-    /// *edit* still hits the semantic verdict cache or the baseline's
-    /// dirty-cone path.
+    /// fleet engine against the resident state, so a repeat after a
+    /// formatting, reorder or rename edit still hits the semantic verdict
+    /// cache or replays the baseline pin.
     fn check(
         &self,
         manifest: &str,

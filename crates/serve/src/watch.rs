@@ -2,8 +2,8 @@
 //! change on disk. Each tick walks the watched directory for `.pp`
 //! files and hashes their contents; new or changed manifests go through
 //! the service's normal check path — which consults the resident
-//! verdict cache and the baseline's dirty-cone differential plan, so an
-//! edit re-verifies in time proportional to the diff — and drift
+//! verdict cache and the baseline pins, so a formatting or rename edit
+//! costs only lowering, and any other edit is analyzed cold — and drift
 //! against the pinned baseline is recorded in the coverage rollup and
 //! the history chain.
 

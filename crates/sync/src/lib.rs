@@ -1,9 +1,8 @@
 //! Lock-striped concurrent map primitives for Rehearsal.
 //!
 //! Several layers of the analyzer share process-wide or run-wide tables
-//! that many threads probe at once: the footprint digest memos, the
-//! analysis memo tables, and the commutativity oracle, all shared by
-//! fleet jobs and serve workers. A single `Mutex<HashMap>` serializes
+//! that many threads probe at once: the digest memos and the analysis
+//! memo tables, all shared by fleet jobs and serve workers. A single `Mutex<HashMap>` serializes
 //! every probe; [`ShardedMap`] splits the key space across a power-of-two
 //! number of independently locked shards so threads touching different
 //! keys never contend, while keeping the simple "probe, compute outside

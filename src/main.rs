@@ -84,10 +84,10 @@ FLEET OPTIONS:
     --jobs <N>                   manifest workers, capped at the manifest
                                  count            [default: one per CPU]
     --cache <FILE>               JSONL verdict cache, reused across runs
-    --baseline <FILE>            differential-verification baseline: persists
-                                 graph digests, footprint summaries, and pair
-                                 commutativity verdicts so a rerun after an
-                                 edit re-analyzes only the dirty cone
+    --baseline <FILE>            JSONL verdict pins (graph digest + verdict
+                                 per manifest): an unedited or renamed
+                                 manifest replays its pin, the rest are
+                                 analyzed and re-pinned
     --list <FILE>                read manifest paths from FILE (one per line)
     --annotations                print GitHub Actions ::error/::warning
                                  annotations from the diagnostics stream
@@ -104,7 +104,7 @@ SERVE / COVERAGE OPTIONS:
                                  coverage: gate against a running daemon's
                                  /v1/coverage instead of verifying locally
     --watch <DIR>                serve: poll DIR for manifest changes and
-                                 re-verify through the differential path
+                                 re-verify them through the check path
     --poll-ms <N>                watch poll interval   [default: 1000]
     --workers <N>                request worker threads; 0 = max(2, cores)
     --state-dir <DIR>            persistent daemon state: verdict cache,

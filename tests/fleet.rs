@@ -3,7 +3,9 @@
 //! metadata permission-race suite.
 
 use rehearsal::benchmarks::{METADATA_SUITE, SUITE};
-use rehearsal::fleet::{parse_json, FleetEngine, FleetJob, FleetOptions, Json, Verdict};
+use rehearsal::fleet::{
+    parse_json, BaselineStore, FleetEngine, FleetJob, FleetOptions, FleetReport, Json, Verdict,
+};
 use rehearsal::Platform;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -213,10 +215,10 @@ fn cli_fleet_cache_survives_rename_and_move() {
     );
 }
 
-/// End-to-end differential verification: a cold `--baseline` run records
-/// footprints and pair verdicts; an attribute edit re-analyzes only the
-/// dirty cone (here exactly one resource) while the untouched manifest
-/// replays without analysis — with verdicts identical to the cold run.
+/// End-to-end baseline replay: a cold `--baseline` run pins every
+/// verdict; after an attribute edit the edited manifest is re-analyzed
+/// while the untouched one replays without analysis — with verdicts
+/// identical to the cold run.
 #[test]
 fn cli_fleet_baseline_edit_replay() {
     let dir = std::env::temp_dir()
@@ -259,13 +261,6 @@ fn cli_fleet_baseline_edit_replay() {
             .expect("row present")
             .clone()
     };
-    let reuse = |row: &Json, field: &str| -> u64 {
-        row.get("reuse")
-            .and_then(|r| r.get(field))
-            .and_then(Json::as_u64)
-            .expect("reuse counters present")
-    };
-
     let cold = run();
     assert!(baseline.exists(), "baseline file written");
     let trio_cold = row(&cold, "trio.pp");
@@ -273,7 +268,7 @@ fn cli_fleet_baseline_edit_replay() {
         trio_cold.get("verdict").and_then(Json::as_str),
         Some("deterministic")
     );
-    assert_eq!(reuse(&trio_cold, "resources_dirty"), 3, "cold = all dirty");
+    assert_eq!(trio_cold.get("cached").and_then(Json::as_bool), Some(false));
 
     // Mutate one attribute of one (footprint-disjoint, unordered)
     // resource.
@@ -290,16 +285,10 @@ fn cli_fleet_baseline_edit_replay() {
         Some("deterministic"),
         "verdict identical to a cold run"
     );
-    assert_eq!(trio_warm.get("cached").and_then(Json::as_bool), Some(false));
     assert_eq!(
-        reuse(&trio_warm, "resources_dirty"),
-        1,
-        "only the edited resource re-analyzes"
-    );
-    assert_eq!(reuse(&trio_warm, "resources_clean"), 2);
-    assert!(
-        reuse(&trio_warm, "pairs_reused") >= 1,
-        "clean pair verdicts are reused"
+        trio_warm.get("cached").and_then(Json::as_bool),
+        Some(false),
+        "the edited manifest is re-analyzed"
     );
     // The untouched manifest replays wholesale from the baseline.
     let ntp_warm = row(&warm, "ntp.pp");
@@ -308,7 +297,129 @@ fn cli_fleet_baseline_edit_replay() {
         ntp_warm.get("verdict").and_then(Json::as_str),
         Some("deterministic")
     );
-    assert_eq!(reuse(&ntp_warm, "resources_dirty"), 0);
+}
+
+/// Regression: with `--cache`, an edit and a revert left the baseline
+/// pinned to the edited verdict. The revert is a verdict-cache hit, and
+/// the hit path only wrote a pin when none existed, so `coverage`
+/// reported drift against a verdict no current file has.
+#[test]
+fn cli_fleet_cache_hit_repins_after_edit_and_revert() {
+    let dir = std::env::temp_dir()
+        .join("rehearsal-fleet-it")
+        .join("edit-revert");
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = dir.join("d");
+    std::fs::create_dir_all(&fleet).unwrap();
+    let cache = dir.join("c.jsonl");
+    let baseline = dir.join("b.jsonl");
+    let ntp = rehearsal::benchmarks::by_name("ntp").unwrap();
+    let nondet = rehearsal::benchmarks::by_name("ntp-nondet").unwrap();
+
+    for (source, exit) in [(ntp.source, 0), (nondet.source, 1), (ntp.source, 0)] {
+        std::fs::write(fleet.join("a.pp"), source).unwrap();
+        let out = rehearsal()
+            .args([
+                "fleet",
+                fleet.to_str().unwrap(),
+                "--cache",
+                cache.to_str().unwrap(),
+                "--baseline",
+                baseline.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(exit));
+    }
+    let out = rehearsal()
+        .args([
+            "coverage",
+            fleet.to_str().unwrap(),
+            "--baseline",
+            baseline.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "no drift after edit + revert: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// A fresh baseline file path (the file itself does not exist).
+fn baseline_file(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("rehearsal-fleet-it").join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("baseline.jsonl")
+}
+
+/// Runs `jobs` cold with a baseline attached, then again in a fresh
+/// engine holding only that baseline (no verdict cache). Every replayed
+/// row must be `cached` and equal the cold row in every field but timing
+/// and reuse accounting. Returns the cold report.
+fn assert_baseline_alone_replays(
+    name: &str,
+    options: FleetOptions,
+    jobs: Vec<FleetJob>,
+) -> FleetReport {
+    let path = baseline_file(name);
+    let mut cold_engine =
+        FleetEngine::new(options.clone()).with_baseline(BaselineStore::open(&path).unwrap());
+    let cold = cold_engine.run(jobs.clone());
+    cold_engine.state().flush().unwrap();
+    assert_eq!(cold.counts().cached, 0);
+
+    let mut engine = FleetEngine::new(options).with_baseline(BaselineStore::open(&path).unwrap());
+    let replayed = engine.run(jobs);
+    assert_eq!(replayed.rows.len(), cold.rows.len());
+    for (r, c) in replayed.rows.iter().zip(&cold.rows) {
+        assert!(r.cached, "{}: replayed from the baseline", r.manifest);
+        assert_eq!(
+            (
+                &r.manifest,
+                &r.verdict,
+                &r.detail,
+                r.resources,
+                &r.diagnostics
+            ),
+            (
+                &c.manifest,
+                &c.verdict,
+                &c.detail,
+                c.resources,
+                &c.diagnostics
+            ),
+            "{}: replayed row differs from the cold row",
+            r.manifest
+        );
+    }
+    cold
+}
+
+/// The 13-manifest suite replays from the baseline alone.
+#[test]
+fn baseline_alone_replays_the_suite() {
+    let cold = assert_baseline_alone_replays(
+        "replay-suite",
+        FleetOptions::default().with_jobs(2),
+        suite_jobs(),
+    );
+    let c = cold.counts();
+    assert_eq!((c.deterministic, c.nondeterministic), (7, 6));
+}
+
+/// The metadata suite replays from the baseline alone under
+/// `model_metadata` (its own options fingerprint).
+#[test]
+fn baseline_alone_replays_the_metadata_suite() {
+    let mut options = FleetOptions::default().with_jobs(2);
+    options.analysis.model_metadata = true;
+    let cold = assert_baseline_alone_replays("replay-metadata", options, metadata_jobs());
+    let c = cold.counts();
+    assert_eq!((c.deterministic, c.nondeterministic), (3, 3));
 }
 
 /// The gate passes (exit 0) on a clean fleet.
@@ -480,9 +591,13 @@ fn metadata_suite_verdicts_are_pinned() {
     let c = meta.counts();
     assert_eq!((c.deterministic, c.nondeterministic), (3, 3));
     assert!(!meta.all_clean(), "the races gate the fleet");
-    // Warm rerun under the same options is all hits.
+    // Warm rerun under the same options is all hits, with the cold
+    // verdicts.
     let warm = engine_meta.run(metadata_jobs());
     assert_eq!(warm.counts().cached, 6);
+    for (w, c) in warm.rows.iter().zip(&meta.rows) {
+        assert_eq!(w.verdict, c.verdict, "{}", w.manifest);
+    }
 }
 
 /// The CLI gate with `--model-metadata`: exits non-zero on the race suite

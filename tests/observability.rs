@@ -170,43 +170,52 @@ fn verdicts_are_identical_under_tracing() {
     assert_eq!((c.deterministic, c.nondeterministic), (3, 3));
 }
 
-/// Differential runs surface their reuse accounting as `incremental.*`
-/// counters in the fleet report's metrics (and therefore in any
-/// installed trace session's registry).
+/// Fleet runs report which store answered their rows as `incremental.*`
+/// counters in the report's metrics (and therefore in any installed
+/// trace session's registry): `graph_hits` for the verdict cache and
+/// `baseline_hits` for the baseline pins.
 #[test]
 fn incremental_metrics_ride_the_fleet_report() {
     let trio = "file { '/etc/motd': content => 'a' }\n\
                 file { '/srv/app.conf': content => 'b' }\n\
                 file { '/var/banner': content => 'c' }";
-    let job = |source: &str| FleetJob {
+    let job = || FleetJob {
         name: "trio.pp".to_string(),
-        source: source.to_string(),
+        source: trio.to_string(),
         platform: Platform::Ubuntu,
     };
-    let mut cold_engine = FleetEngine::new(FleetOptions::default().with_jobs(1))
-        .with_baseline(BaselineStore::in_memory());
-    cold_engine.run(vec![job(trio)]);
-    let baseline = cold_engine.state().take_baseline().unwrap();
+    let dir = std::env::temp_dir().join("rehearsal-obs-incremental");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("baseline.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let counters = |report: &rehearsal::fleet::FleetReport| {
+        (
+            report.metrics.counter("incremental.graph_hits"),
+            report.metrics.counter("incremental.baseline_hits"),
+        )
+    };
 
-    let edited = trio.replace("content => 'c'", "content => 'changed'");
-    let mut engine = FleetEngine::new(FleetOptions::default().with_jobs(1)).with_baseline(baseline);
-    let report = engine.run(vec![job(&edited)]);
-    assert_eq!(
-        report.metrics.counter("incremental.resources_dirty"),
-        Some(1)
-    );
-    assert_eq!(
-        report.metrics.counter("incremental.resources_clean"),
-        Some(2)
-    );
-    assert!(
-        report
-            .metrics
-            .counter("incremental.pairs_reused")
-            .unwrap_or(0)
-            > 0,
-        "clean pair verdicts reused"
-    );
+    let mut cold_engine = FleetEngine::new(FleetOptions::default().with_jobs(1))
+        .with_baseline(BaselineStore::open(&path).unwrap());
+    let cold = cold_engine.run(vec![job()]);
+    assert_eq!(counters(&cold), (Some(0), Some(0)), "analyzed cold");
+    cold_engine.state().flush().unwrap();
+
+    // A fresh engine with only the baseline replays the pin, which also
+    // fills its verdict cache for the next run.
+    let mut engine = FleetEngine::new(FleetOptions::default().with_jobs(1))
+        .with_baseline(BaselineStore::open(&path).unwrap());
+    let replayed = engine.run(vec![job()]);
+    assert_eq!(counters(&replayed), (Some(0), Some(1)));
+    let hit = engine.run(vec![job()]);
+    assert_eq!(counters(&hit), (Some(1), Some(0)));
+    for gone in [
+        "incremental.resources_clean",
+        "incremental.resources_dirty",
+        "incremental.pairs_reused",
+    ] {
+        assert_eq!(hit.metrics.counter(gone), None, "{gone}");
+    }
 }
 
 /// Disabled tracing (no session installed) must cost nothing measurable:
