@@ -12,6 +12,15 @@
 //! manifests should recycle its process (or grow an eviction policy here
 //! and in the arena together).
 //!
+//! Because nothing is ever evicted, only feed these tables (and the
+//! arena's own per-node path sets) the expressions an analysis keeps.
+//! Pruning is the case to watch: `prune_graph` builds one rewritten owner
+//! tree per pruned path and discards all but the last, so it must not
+//! compute summaries, definitive-write maps or path sets
+//! ([`Expr::paths`]) on the intermediate trees; it reads only sets that
+//! already exist ([`Expr::known_paths`]). Callers that analyze the final
+//! pruned graph (the encoder, the explorer) may memoize freely.
+//!
 //! Tables are backed by [`rehearsal_sync::ShardedMap`], so concurrent
 //! probes from fleet workers stripe across independent locks instead of
 //! serializing on one `Mutex`.

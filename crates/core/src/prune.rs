@@ -21,9 +21,11 @@
 //! encoder exploits with a single variable per path.
 //!
 //! Like the access summaries, definitive-write maps depend only on
-//! structure and are memoized process-wide by hash-consed id; the
-//! candidate scan consults the memoized per-node path sets instead of
-//! re-walking expressions.
+//! structure and are memoized process-wide by hash-consed id. Pruning
+//! interns a whole new owner tree per pruned path, and all but the last
+//! of those trees are thrown away, so nothing here computes per-node
+//! path sets on a rewritten tree: the arena would keep them forever (see
+//! [`rehearsal_fs::ExprId::known_paths`]).
 
 use crate::commutativity::accesses;
 use crate::determinism::FsGraph;
@@ -419,6 +421,12 @@ fn prune_rec(e: Expr, p: FsPath, track: Track) -> Result<(Expr, Track), ()> {
 /// the expression uses `p` in a shape the partial evaluator cannot handle
 /// (e.g. `cp` through `p`); callers simply skip pruning that path.
 pub fn prune_path(e: Expr, p: FsPath) -> Option<Expr> {
+    prune_path_with(e, p, writes_path)
+}
+
+/// [`prune_path`] with the final "no write to `p` survives" check
+/// supplied by the caller (tests pass a reference implementation).
+fn prune_path_with(e: Expr, p: FsPath, writes: fn(Expr, FsPath) -> bool) -> Option<Expr> {
     let initial = Track::Initial {
         dne: true,
         file: true,
@@ -426,16 +434,19 @@ pub fn prune_path(e: Expr, p: FsPath) -> Option<Expr> {
     };
     let (out, _) = prune_rec(e, p, initial).ok()?;
     // Defensive: no write to p may survive.
-    if writes_path(out, p) {
+    if writes(out, p) {
         return None;
     }
     Some(out)
 }
 
 fn writes_path(e: Expr, p: FsPath) -> bool {
-    // Cheap pre-filter via the memoized per-node path set: if `p` is not
-    // mentioned at all, it is certainly not written.
-    if !e.paths().contains(&p) {
+    // Cheap pre-filter via a per-node path set that already exists: if
+    // `p` is not mentioned at all, it is certainly not written. `e` is
+    // usually a freshly pruned tree that the next pruned path replaces,
+    // so computing sets here would pin one on each of its new nodes for
+    // the life of the process; without a set, the walk decides.
+    if e.known_paths().is_some_and(|paths| !paths.contains(&p)) {
         return false;
     }
     match e.node() {
@@ -455,6 +466,13 @@ fn writes_path(e: Expr, p: FsPath) -> bool {
 ///
 /// Returns the pruned graph and the set of read-only paths.
 pub fn prune_graph(graph: &FsGraph) -> (FsGraph, BTreeSet<FsPath>) {
+    prune_graph_with(graph, writes_path)
+}
+
+fn prune_graph_with(
+    graph: &FsGraph,
+    writes: fn(Expr, FsPath) -> bool,
+) -> (FsGraph, BTreeSet<FsPath>) {
     let defs: Vec<Arc<DefMap>> = graph.exprs.iter().map(|&e| definitive_writes(e)).collect();
     let summaries: Vec<_> = graph.exprs.iter().map(|&e| accesses(e)).collect();
 
@@ -494,7 +512,7 @@ pub fn prune_graph(graph: &FsGraph) -> (FsGraph, BTreeSet<FsPath>) {
                 continue 'paths;
             }
         }
-        match prune_path(out.exprs[owner], p) {
+        match prune_path_with(out.exprs[owner], p, writes) {
             Some(rewritten) => {
                 out.exprs[owner] = rewritten;
                 read_only.insert(p);
@@ -683,6 +701,91 @@ mod tests {
         assert!(!ro.contains(&shared), "shared path written by both");
         assert!(!writes_path(pruned.exprs[0], f));
         assert!(writes_path(pruned.exprs[0], shared));
+    }
+
+    /// The path-set pre-filter `writes_path` used before it stopped
+    /// forcing sets on fresh trees: the reference the pruned graphs are
+    /// compared against.
+    fn writes_path_forcing_sets(e: Expr, p: FsPath) -> bool {
+        if !e.paths().contains(&p) {
+            return false;
+        }
+        match e.node() {
+            ExprNode::Skip | ExprNode::Error => false,
+            ExprNode::Mkdir(q) | ExprNode::CreateFile(q, _) | ExprNode::Rm(q) => q == p,
+            ExprNode::ChMeta(q, _, _) => q == p,
+            ExprNode::Cp(_, dst) => dst == p,
+            ExprNode::Seq(a, b) | ExprNode::If(_, a, b) => {
+                writes_path_forcing_sets(a, p) || writes_path_forcing_sets(b, p)
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_leaves_no_path_set_on_the_rewritten_tree() {
+        // Paths unique to this test, so no other test can have interned
+        // (and computed sets for) the rewritten nodes first.
+        let f = p("/prune-known-paths/f");
+        let m = p("/prune-known-paths/marker");
+        let e = ensure_dir(p("/prune-known-paths"))
+            .seq(overwrite(f, Content::intern("known-paths")))
+            .seq(Expr::create_file(m, Content::intern("known-paths-marker")));
+        assert!(e.paths().contains(&f));
+        assert!(e.known_paths().is_some(), "the input's sets are known");
+        let pruned = prune_path(e, f).expect("prunable");
+        assert_ne!(pruned, e);
+        assert_eq!(
+            pruned.known_paths(),
+            None,
+            "pruning computed a path set on the throwaway tree"
+        );
+        assert!(!writes_path(pruned, f));
+        assert_eq!(pruned.known_paths(), None, "nor did the write check");
+    }
+
+    /// Every pinned manifest (the 19 bundled ones and the 6 metadata
+    /// ones, the latter under the metadata model), lowered.
+    fn pinned_graphs() -> Vec<(String, FsGraph)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut graphs = Vec::new();
+        for (dir, model_metadata) in [("benchmarks", false), ("benchmarks-metadata", true)] {
+            let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| path.extension().is_some_and(|x| x == "pp"))
+                .collect();
+            files.sort();
+            for file in files {
+                let source = std::fs::read_to_string(&file).unwrap();
+                let options = crate::AnalysisOptions {
+                    model_metadata,
+                    ..crate::AnalysisOptions::default()
+                };
+                let (graph, _) = crate::Rehearsal::new(rehearsal_pkgdb::Platform::Ubuntu)
+                    .with_options(options)
+                    .lower_source(&source)
+                    .unwrap();
+                graphs.push((file.display().to_string(), graph));
+            }
+        }
+        graphs
+    }
+
+    #[test]
+    fn prune_graph_matches_the_set_forcing_reference_on_pinned_manifests() {
+        let graphs = pinned_graphs();
+        assert_eq!(graphs.len(), 25);
+        let mut pruned_somewhere = false;
+        for (name, graph) in &graphs {
+            // The new check first, so it cannot lean on sets the
+            // reference computes.
+            let (pruned, read_only) = prune_graph(graph);
+            let (expected, expected_read_only) = prune_graph_with(graph, writes_path_forcing_sets);
+            assert_eq!(read_only, expected_read_only, "{name}: read-only set");
+            assert_eq!(pruned.exprs, expected.exprs, "{name}: pruned handles");
+            pruned_somewhere |= !read_only.is_empty();
+        }
+        assert!(pruned_somewhere, "the suite exercises pruning");
     }
 
     #[test]

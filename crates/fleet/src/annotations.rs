@@ -111,6 +111,7 @@ mod tests {
             counters: AnalysisCounters::default(),
             diagnostics,
             reuse: None,
+            store_key: None,
         }
     }
 

@@ -35,6 +35,26 @@ pub struct CachedVerdict {
     pub diagnostics: Vec<Diagnostic>,
 }
 
+/// The verdict-cache key a row was answered from or filed under, tagged
+/// with the key space it belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StoreKey {
+    /// A [`graph_key`]: the job lowered, and its graph was analyzed (or
+    /// replayed from a baseline pin).
+    Graph(u64),
+    /// A [`job_key`]: the job's source failed to lower.
+    Source(u64),
+}
+
+impl StoreKey {
+    /// The raw cache key.
+    pub fn key(self) -> u64 {
+        match self {
+            StoreKey::Graph(key) | StoreKey::Source(key) => key,
+        }
+    }
+}
+
 /// An in-memory verdict cache with an optional JSONL backing file.
 #[derive(Debug, Default)]
 pub struct VerdictCache {

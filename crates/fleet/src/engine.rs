@@ -12,7 +12,9 @@
 //! re-pinned.
 
 use crate::baseline::{BaselineEntry, BaselineStore};
-use crate::cache::{graph_key, job_key, options_fingerprint, CachedVerdict, VerdictCache};
+use crate::cache::{
+    graph_key, job_key, options_fingerprint, CachedVerdict, StoreKey, VerdictCache,
+};
 use crate::report::{AnalysisCounters, FleetReport, JobResult, ReuseCounts, Verdict};
 use crate::scheduler::run_work_stealing_with_stats;
 use crate::state::StateDir;
@@ -245,7 +247,8 @@ impl FleetEngine {
             // the raw-source key; check it before re-parsing.
             let src_key = job_key(&job.source, job.platform, &analysis);
             if let Some(hit) = self.state.cache_get(src_key) {
-                rows.push(Some(cached_row(job.name, job.platform, &hit, None)));
+                let key = StoreKey::Source(src_key);
+                rows.push(Some(cached_row(job.name, job.platform, &hit, key)));
                 continue;
             }
             let lower_start = Instant::now();
@@ -268,6 +271,7 @@ impl FleetEngine {
                     row.millis = lower_ms;
                     row.run_ms = lower_ms;
                     row.phases = lower_phases;
+                    row.store_key = Some(StoreKey::Source(src_key));
                     self.state.cache_put(src_key, verdict_of(&row));
                     rows.push(Some(row));
                     continue;
@@ -282,8 +286,8 @@ impl FleetEngine {
                 // options — formatting/comment/reorder/rename edits land
                 // here.
                 graph_hits += 1;
-                let reuse = ReuseCounts::store(hit.resources);
-                let mut row = cached_row(job.name.clone(), job.platform, &hit, Some(reuse));
+                let mut row =
+                    cached_row(job.name.clone(), job.platform, &hit, StoreKey::Graph(key));
                 row.phases = lower_phases;
                 // Keep the pin in step with the graph the cache answered
                 // for: an edit and revert can leave it on the edited graph.
@@ -316,6 +320,7 @@ impl FleetEngine {
                     counters: AnalysisCounters::default(),
                     diagnostics: entry.diagnostics.clone(),
                     reuse: Some(ReuseCounts::store(n)),
+                    store_key: Some(StoreKey::Graph(key)),
                 };
                 self.state.cache_put(key, verdict_of(&row));
                 if entry.manifest != job.name {
@@ -396,6 +401,7 @@ impl FleetEngine {
                     counters: outcome.counters,
                     diagnostics: outcome.diagnostics,
                     reuse,
+                    store_key: Some(StoreKey::Graph(key)),
                 },
                 metrics,
                 pin_as,
@@ -518,15 +524,23 @@ fn error_row(
         counters: AnalysisCounters::default(),
         diagnostics,
         reuse: None,
+        store_key: None,
     }
 }
 
+/// The row a verdict-cache hit under `key` reports: the stored verdict,
+/// `cached`, zeroed counters, and store reuse for graph keys (a source
+/// key holds a lowering failure, which has no graph to count).
 fn cached_row(
     manifest: String,
     platform: Platform,
     hit: &CachedVerdict,
-    reuse: Option<ReuseCounts>,
+    key: StoreKey,
 ) -> JobResult {
+    let reuse = match key {
+        StoreKey::Graph(_) => Some(ReuseCounts::store(hit.resources)),
+        StoreKey::Source(_) => None,
+    };
     JobResult {
         manifest,
         platform,
@@ -541,7 +555,22 @@ fn cached_row(
         counters: AnalysisCounters::default(),
         diagnostics: hit.diagnostics.clone(),
         reuse,
+        store_key: Some(key),
     }
+}
+
+/// Answers one job from the verdict cache alone, given the key an
+/// earlier run reported in [`JobResult::store_key`]: the row a cache hit
+/// under that key reports, with no parse, lowering or analysis. `None`
+/// when the state holds no entry for the key.
+pub fn stored_row(
+    state: &StateDir,
+    key: StoreKey,
+    manifest: String,
+    platform: Platform,
+) -> Option<JobResult> {
+    let hit = state.cache_get(key.key())?;
+    Some(cached_row(manifest, platform, &hit, key))
 }
 
 fn verdict_of(row: &JobResult) -> CachedVerdict {
@@ -818,6 +847,43 @@ mod tests {
         )]);
         assert_eq!(report.counts().cached, 1);
         assert_eq!(report.rows[0].reuse, Some(ReuseCounts::store(1)));
+    }
+
+    #[test]
+    fn rows_report_the_store_key_that_answers_them_again() {
+        let mut engine = FleetEngine::new(FleetOptions::default().with_jobs(1));
+        let cold = engine.run(vec![
+            job("a.pp", "file { '/etc/motd': content => 'a' }"),
+            job("broken.pp", "file { '/etc/motd': content => "),
+        ]);
+        assert!(matches!(cold.rows[0].store_key, Some(StoreKey::Graph(_))));
+        assert!(matches!(cold.rows[1].store_key, Some(StoreKey::Source(_))));
+        // A reformat is answered from the same graph key.
+        let warm = engine.run(vec![job(
+            "a.pp",
+            "file { '/etc/motd':\n  content => 'a',\n}",
+        )]);
+        assert_eq!(warm.rows[0].store_key, cold.rows[0].store_key);
+        // Each key alone reproduces the cache-hit row.
+        for (row, name) in cold.rows.iter().zip(["a.pp", "broken.pp"]) {
+            let key = row.store_key.unwrap();
+            let stored = stored_row(engine.state(), key, name.to_string(), Platform::Ubuntu)
+                .expect("the key has an entry");
+            assert!(stored.cached);
+            assert_eq!(stored.verdict, row.verdict);
+            assert_eq!(stored.detail, row.detail);
+            assert_eq!(stored.store_key, Some(key));
+        }
+        assert_eq!(
+            stored_row(
+                engine.state(),
+                StoreKey::Graph(7),
+                "x.pp".into(),
+                Platform::Ubuntu
+            )
+            .map(|r| r.verdict),
+            None
+        );
     }
 
     #[test]

@@ -54,11 +54,11 @@ pub mod state;
 pub use annotations::{annotation_line, github_annotations, row_annotations};
 pub use baseline::{BaselineEntry, BaselineStore, BASELINE_SCHEMA_VERSION};
 pub use cache::{
-    fnv1a_digest, graph_key, job_key, options_fingerprint, CachedVerdict, VerdictCache,
+    fnv1a_digest, graph_key, job_key, options_fingerprint, CachedVerdict, StoreKey, VerdictCache,
     CACHE_SCHEMA_VERSION,
 };
 pub use discover::{discover_manifests, read_manifest_list};
-pub use engine::{verify_directory, FleetEngine, FleetJob, FleetOptions};
+pub use engine::{stored_row, verify_directory, FleetEngine, FleetJob, FleetOptions};
 pub use json::{diagnostic_from_json, diagnostic_json, parse as parse_json, Json, JsonError};
 pub use report::{
     check_document, check_document_from_row, metrics_json, AnalysisCounters, FleetCounts,

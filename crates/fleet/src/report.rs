@@ -1,6 +1,7 @@
 //! The fleet report: per-manifest verdict rows, aggregate counters, and
 //! renderers (human table + stable JSON for pipelines).
 
+use crate::cache::StoreKey;
 use crate::json::{diagnostic_json, Json};
 use rehearsal_diag::Diagnostic;
 use rehearsal_pkgdb::Platform;
@@ -147,6 +148,11 @@ pub struct JobResult {
     /// Store accounting (`None` when the row was analyzed with no
     /// baseline attached, or never reached a store).
     pub reuse: Option<ReuseCounts>,
+    /// The verdict-cache key the row was answered from or filed under
+    /// (`None` for rows no store holds: unreadable manifests and jobs
+    /// cancelled before they started). Timeout rows carry their key but
+    /// are never written under it.
+    pub store_key: Option<StoreKey>,
 }
 
 /// Whether a row's verdict came from a store (the semantic verdict cache
@@ -653,6 +659,7 @@ mod tests {
             counters: AnalysisCounters::default(),
             diagnostics: Vec::new(),
             reuse: None,
+            store_key: None,
         }
     }
 

@@ -21,6 +21,15 @@
 //! depends on a solver context (symbolic states, formulas) is memoized
 //! per-`Encoder` in `rehearsal-core` instead, keyed by these ids.
 //!
+//! A path set, once computed, lives as long as its node, and computing
+//! one for a node computes and stores one for every node below it. So a
+//! caller that builds throwaway trees (an intermediate rewrite that is
+//! replaced moments later, as pruning does once per pruned path) must
+//! not call [`Expr::paths`](crate::ExprId::paths) on them: it would pin a
+//! set on every fresh node for the rest of the process. Such callers use
+//! [`Expr::known_paths`](crate::ExprId::known_paths), which only reads a
+//! set that already exists, and walk the tree otherwise.
+//!
 //! # Sharding
 //!
 //! The store is lock-striped: nodes are hash-routed across `N_SHARDS`
@@ -585,6 +594,12 @@ pub(crate) fn pred_paths(id: u32) -> Arc<BTreeSet<FsPath>> {
 /// Memoized path set of an expression (includes guard predicates).
 pub(crate) fn expr_paths(id: u32) -> Arc<BTreeSet<FsPath>> {
     ir().expr_paths(id)
+}
+
+/// The path set of an expression if one was already computed; never
+/// computes (or stores) one.
+pub(crate) fn known_expr_paths(id: u32) -> Option<Arc<BTreeSet<FsPath>>> {
+    ir().try_expr_paths(id)
 }
 
 /// Memoized content set of an expression.

@@ -323,6 +323,14 @@ impl ExprId {
         arena::expr_paths(self.0)
     }
 
+    /// The path set [`ExprId::paths`] would return, if some caller has
+    /// already computed it; `None` otherwise. Unlike `paths`, this never
+    /// computes a set, so it leaves no per-node sets behind on trees that
+    /// are about to be discarded (see the arena's lifecycle notes).
+    pub fn known_paths(self) -> Option<Arc<BTreeSet<FsPath>>> {
+        arena::known_expr_paths(self.0)
+    }
+
     /// All file contents that appear in the program text (memoized).
     pub fn contents(self) -> Arc<BTreeSet<Content>> {
         arena::expr_contents(self.0)

@@ -2,6 +2,10 @@
 //! parse one request, write one response, and close — the daemon speaks
 //! `Connection: close` exclusively, so there is no keep-alive state
 //! machine, no chunked encoding, and no dependency outside `std`.
+//!
+//! A request costs a handful of syscalls: the head is read in chunks
+//! (usually one read brings the head and the whole body), and the
+//! response goes out as one write of head and body together.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -58,30 +62,47 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Reads and parses one request from the stream. Enforces
-/// [`MAX_HEAD_BYTES`] / [`MAX_BODY_BYTES`]; anything malformed (no
-/// request line, oversized head, bad `Content-Length`) is an
-/// `InvalidData` error the caller turns into a `400`.
+/// Bytes asked of the socket per `read` while looking for the end of
+/// the head. A typical request (head plus manifest body) arrives whole
+/// in the first read.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// Reads and parses one request from the stream. The head is read in
+/// chunks until CRLFCRLF; whatever the last chunk carried past the head
+/// is the start of the body, and bytes beyond `Content-Length` are
+/// ignored. Enforces [`MAX_HEAD_BYTES`] / [`MAX_BODY_BYTES`]; anything
+/// malformed (no request line, oversized head, bad `Content-Length`) is
+/// an `InvalidData` error the caller turns into a `400`.
 ///
 /// # Errors
 ///
 /// I/O errors from the socket, or `InvalidData` for malformed requests.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    // Byte-at-a-time until CRLFCRLF: requests are tiny and the daemon
-    // reads each exactly once, so simplicity beats a buffered reader
-    // that would over-read into the body.
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
+pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
+    let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
+    let head_end = loop {
+        // Resume the terminator scan three bytes back, in case a CRLFCRLF
+        // straddles two reads.
+        let scan_from = buf.len().saturating_sub(3);
+        let filled = buf.len();
+        buf.resize(filled + READ_CHUNK, 0);
+        let n = stream.read(&mut buf[filled..])?;
+        buf.truncate(filled + n);
+        if n == 0 {
+            return Err(bad("connection closed mid-request"));
+        }
+        if let Some(at) = buf[scan_from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            let end = scan_from + at + 4;
+            if end > MAX_HEAD_BYTES {
+                return Err(bad("request head too large"));
+            }
+            break end;
+        }
+        if buf.len() >= MAX_HEAD_BYTES {
             return Err(bad("request head too large"));
         }
-        match stream.read(&mut byte)? {
-            0 => return Err(bad("connection closed mid-request")),
-            _ => head.push(byte[0]),
-        }
-    }
-    let head = String::from_utf8(head).map_err(|_| bad("request head is not UTF-8"))?;
+    };
+    let head =
+        std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("request head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or_else(|| bad("missing request line"))?;
     let mut parts = request_line.split_whitespace();
@@ -107,8 +128,14 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     if content_length > MAX_BODY_BYTES {
         return Err(bad("request body too large"));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    let mut body = buf.split_off(head_end);
+    if body.len() >= content_length {
+        body.truncate(content_length);
+    } else {
+        let have = body.len();
+        body.resize(content_length, 0);
+        stream.read_exact(&mut body[have..])?;
+    }
     Ok(Request { method, path, body })
 }
 
@@ -124,21 +151,21 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Serializes a response (with `Content-Length` and
-/// `Connection: close`) onto the stream and flushes it.
+/// `Connection: close`) onto the stream in one write and flushes it.
 ///
 /// # Errors
 ///
 /// I/O errors from the socket.
 pub fn write_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         reason(response.status),
         response.content_type,
         response.body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
+    out.push_str(&response.body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -198,6 +225,99 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, "{\"ok\":true}");
         server.join().unwrap();
+    }
+
+    /// A reader that hands out the given writes one at a time: each
+    /// `read` returns at most what is left of the current write, the
+    /// way a socket returns whatever segments have arrived.
+    struct Writes(std::collections::VecDeque<Vec<u8>>);
+
+    impl Writes {
+        fn new(writes: &[&[u8]]) -> Writes {
+            Writes(writes.iter().map(|w| w.to_vec()).collect())
+        }
+    }
+
+    impl Read for Writes {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(front) = self.0.front_mut() else {
+                return Ok(0);
+            };
+            let n = front.len().min(buf.len());
+            buf[..n].copy_from_slice(&front[..n]);
+            front.drain(..n);
+            if front.is_empty() {
+                self.0.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    const HEAD: &[u8] = b"POST /v1/check HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n";
+
+    #[test]
+    fn head_and_body_in_one_write() {
+        let one = [HEAD, b"{\"x\":1}"].concat();
+        let req = read_request(&mut Writes::new(&[&one])).unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/v1/check");
+        assert_eq!(req.body, b"{\"x\":1}");
+    }
+
+    #[test]
+    fn head_dribbled_one_byte_per_write() {
+        let mut writes: Vec<&[u8]> = HEAD.chunks(1).collect();
+        writes.push(b"{\"x\":1}");
+        let req = read_request(&mut Writes::new(&writes)).unwrap();
+        assert_eq!(req.path, "/v1/check");
+        assert_eq!(req.body, b"{\"x\":1}");
+    }
+
+    #[test]
+    fn body_in_later_writes_than_the_head() {
+        let writes: [&[u8]; 3] = [HEAD, b"{\"x\"", b":1}"];
+        let req = read_request(&mut Writes::new(&writes)).unwrap();
+        assert_eq!(req.body, b"{\"x\":1}");
+        // Part of the body riding with the head, the rest later.
+        let first = [HEAD, b"{\"x"].concat();
+        let writes: [&[u8]; 2] = [&first, b"\":1}"];
+        let req = read_request(&mut Writes::new(&writes)).unwrap();
+        assert_eq!(req.body, b"{\"x\":1}");
+    }
+
+    #[test]
+    fn head_over_the_cap_is_invalid_data() {
+        let mut head = b"GET /v1/healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(MAX_HEAD_BYTES, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let err = read_request(&mut Writes::new(&[&head])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Also when the head never ends.
+        let endless = vec![b'a'; 2 * MAX_HEAD_BYTES];
+        let err = read_request(&mut Writes::new(&[&endless])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A head exactly at the cap is accepted.
+        let mut exact = b"GET /v1/healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        exact.resize(MAX_HEAD_BYTES - 4, b'a');
+        exact.extend_from_slice(b"\r\n\r\n");
+        let req = read_request(&mut Writes::new(&[&exact])).unwrap();
+        assert_eq!(req.path, "/v1/healthz");
+    }
+
+    #[test]
+    fn bytes_past_content_length_are_ignored() {
+        let one = [HEAD, b"{\"x\":1}GARBAGE"].concat();
+        let req = read_request(&mut Writes::new(&[&one])).unwrap();
+        assert_eq!(req.body, b"{\"x\":1}");
+        let writes: [&[u8]; 2] = [HEAD, b"{\"x\":1}\r\n\r\nGET / HTTP/1.1"];
+        let req = read_request(&mut Writes::new(&writes)).unwrap();
+        assert_eq!(req.body, b"{\"x\":1}");
+    }
+
+    #[test]
+    fn connection_closed_mid_body_is_an_error() {
+        let writes: [&[u8]; 2] = [HEAD, b"{\"x"];
+        assert!(read_request(&mut Writes::new(&writes)).is_err());
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! This crate is that process:
 //!
 //! * [`Server`] — a dependency-free threaded HTTP/1.1 JSON daemon on
-//!   [`std::net::TcpListener`]: a non-blocking accept loop, a bounded
-//!   connection queue, and a fixed request-worker pool;
+//!   [`std::net::TcpListener`]: a blocking accept loop (woken for
+//!   shutdown by a connection to its own port), a bounded connection
+//!   queue, and a fixed request-worker pool;
 //! * [`Service`] — the warm core the workers share: one resident
 //!   [`rehearsal_fleet::StateDir`] (schema-5 verdict cache + baseline
-//!   store), a response memo answering byte-identical repeats without
-//!   re-lowering, baseline pins for drift detection, the coverage
-//!   rollup, and the live metrics registry;
+//!   store), a request memo mapping byte-identical repeats to their
+//!   verdict-cache key so they skip re-lowering, baseline pins for drift
+//!   detection, the coverage rollup, and the live metrics registry;
 //! * [`history`] — the hash-chained `rehearsal-history/1` run log
 //!   (tamper-evident; torn tails truncate and degrade, never wedge);
 //! * [`watch`] — poll-based re-verification of a manifest directory

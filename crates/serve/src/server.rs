@@ -1,16 +1,27 @@
-//! The threaded HTTP server around a [`Service`]: a non-blocking accept
-//! loop feeding a bounded connection queue, a fixed pool of request
-//! workers, the optional watch thread, and the graceful-shutdown drain
-//! (stop accepting → drain queued and in-flight requests → cancel
-//! stragglers via the drain [`rehearsal_core::CancelToken`] → flush
-//! state → final history record).
+//! The threaded HTTP server around a [`Service`]: a blocking accept loop
+//! feeding a bounded connection queue, a fixed pool of request workers,
+//! the optional watch thread, and the graceful-shutdown drain (stop
+//! accepting → drain queued and in-flight requests → cancel stragglers
+//! via the drain [`rehearsal_core::CancelToken`] → flush state → final
+//! history record).
+//!
+//! The accept loop never polls. A blocked `accept` returns only when a
+//! connection arrives, so stopping is a connection too: requesting a
+//! stop (`POST /v1/shutdown`, or a signal) connects once to the
+//! server's own port, and the loop, which checks
+//! [`Service::stopping`] after every accept, drops that connection
+//! unanswered and starts the drain. Signals need a thread of their own
+//! for this: libc's `signal()` installs handlers with `SA_RESTART`, so
+//! a blocked `accept` is restarted rather than interrupted. The signal
+//! watcher polls the handler's flag off the request path and makes the
+//! wake connection on its behalf.
 
 use crate::http::{read_request, write_response, Response};
 use crate::service::{ServeOptions, Service};
 use crate::watch::spawn_watcher;
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -19,13 +30,17 @@ use std::time::{Duration, Instant};
 const QUEUE_CAP: usize = 128;
 /// How long the drain waits for in-flight requests before cancelling
 /// them through the drain token.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-/// Accept-loop poll interval (the listener is non-blocking so shutdown
-/// and signals are noticed promptly).
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
+pub const DRAIN_GRACE: Duration = Duration::from_secs(5);
+/// How often the signal watcher looks at [`SIGNALLED`]. It sits off the
+/// request path, so this bounds only how soon a signal starts the drain.
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
+/// Back-off after an `accept` error (e.g. out of file descriptors), so a
+/// persistent error cannot spin the loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Set by the SIGINT/SIGTERM handler; polled by the accept loop. Signal
-/// handlers may only touch async-signal-safe state, hence a bare flag.
+/// Set by the SIGINT/SIGTERM handler; watched by the signal thread.
+/// Signal handlers may only touch async-signal-safe state, hence a bare
+/// flag.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -79,6 +94,7 @@ impl Server {
     pub fn bind(options: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&options.addr)?;
         let service = Arc::new(Service::new(options)?);
+        service.set_wake_addr(wake_addr(listener.local_addr()?));
         Ok(Server { listener, service })
     }
 
@@ -116,7 +132,6 @@ impl Server {
     /// I/O errors from the final state flush.
     pub fn run(self) -> io::Result<()> {
         let Server { listener, service } = self;
-        listener.set_nonblocking(true)?;
         let queue = Arc::new(Queue {
             state: Mutex::new((false, VecDeque::new())),
             ready: Condvar::new(),
@@ -136,31 +151,48 @@ impl Server {
             let poll_ms = service.options().poll_ms;
             spawn_watcher(service, dir, poll_ms)
         });
-
-        while !service.stopping() && !SIGNALLED.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let mut state = queue.state.lock().unwrap();
-                    if state.1.len() >= QUEUE_CAP {
-                        drop(state);
-                        let mut stream = stream;
-                        let _ = write_response(
-                            &mut stream,
-                            &Response::json(503, "{\"error\":\"overloaded\"}".to_string()),
-                        );
-                    } else {
-                        state.1.push_back(stream);
-                        drop(state);
-                        queue.ready.notify_one();
+        let signal_watcher = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                while !service.stopping() {
+                    if SIGNALLED.load(Ordering::Relaxed) {
+                        service.request_stop();
+                        break;
                     }
+                    std::thread::sleep(SIGNAL_POLL);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+            })
+        };
+
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                    continue;
                 }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
+            };
+            if service.stopping() {
+                // The wake connection (or a client that raced it):
+                // dropped unanswered, the listener closes with the loop.
+                break;
+            }
+            let mut state = queue.state.lock().unwrap();
+            if state.1.len() >= QUEUE_CAP {
+                drop(state);
+                let mut stream = stream;
+                let _ = write_response(
+                    &mut stream,
+                    &Response::json(503, "{\"error\":\"overloaded\"}".to_string()),
+                );
+            } else {
+                state.1.push_back(stream);
+                drop(state);
+                queue.ready.notify_one();
             }
         }
-        service.request_stop();
+        drop(listener);
 
         // Drain: close the queue so idle workers exit once it empties,
         // give in-flight requests a grace period, then cancel them.
@@ -182,8 +214,22 @@ impl Server {
         if let Some(watcher) = watcher {
             let _ = watcher.join();
         }
+        let _ = signal_watcher.join();
         service.flush()
     }
+}
+
+/// The address a stop request connects to: the bound address, with an
+/// unspecified host (`0.0.0.0` / `[::]`) replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// One request worker: pop a connection, parse, dispatch, respond,

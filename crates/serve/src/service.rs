@@ -1,33 +1,44 @@
 //! The warm verification core behind every endpoint: one shared
 //! [`StateDir`] (resident schema-5 verdict cache + baseline store), a
-//! response memo that answers byte-identical repeat requests without
+//! request memo that answers byte-identical repeat requests without
 //! re-lowering, baseline pins for drift detection, the coverage rollup,
 //! the live metrics registry, and the hash-chained run history.
+//!
+//! The memo is a map from `hash(manifest, platform, options, source)` to
+//! the verdict-cache key ([`StoreKey`]) the engine answered that request
+//! from or filed it under: a graph key for a source that lowered, the
+//! source key for one that did not. It holds no response of its own; a
+//! hit reads the cached verdict and renders the document a cache hit
+//! renders, so the verdict cache stays the single copy of every verdict
+//! and a memo entry costs a few dozen bytes.
 
 use crate::history::{HistoryLog, HISTORY_FILE};
 use crate::http::{Request, Response};
 use rehearsal_core::{AnalysisOptions, CancelToken};
 use rehearsal_fleet::{
-    diagnostic_json, fnv1a_digest, options_fingerprint, BaselineStore, FleetEngine, FleetJob,
-    FleetOptions, Json, StateDir, Verdict,
+    diagnostic_json, fnv1a_digest, options_fingerprint, stored_row, BaselineStore, FleetEngine,
+    FleetJob, FleetOptions, Json, StateDir, StoreKey, Verdict,
 };
 use rehearsal_lint::{lint_source, LintOptions};
 use rehearsal_pkgdb::Platform;
 use rehearsal_trace::Registry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Schema tag of the daemon's own (non-check) JSON documents.
 pub const SERVE_SCHEMA: &str = "rehearsal-serve/1";
 
-/// Upper bound on memoized responses; beyond it the memo is cleared
+/// Upper bound on memoized requests; beyond it the memo is cleared
 /// wholesale (requests fall back to the verdict cache, which is keyed
 /// semantically and never evicted).
 const MEMO_CAP: usize = 4096;
+/// How long a stop request waits to connect to the accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Configuration for [`Service::new`] / [`crate::Server::bind`].
 #[derive(Debug, Clone)]
@@ -113,7 +124,8 @@ pub struct Service {
     history: Option<Mutex<HistoryLog>>,
     pins: Mutex<BTreeMap<String, (u64, Verdict)>>,
     rollup: Mutex<BTreeMap<String, RollupRow>>,
-    memo: Mutex<HashMap<u64, Json>>,
+    memo: Mutex<HashMap<u64, StoreKey>>,
+    wake: OnceLock<SocketAddr>,
     started: Instant,
     fp: u64,
 }
@@ -161,6 +173,7 @@ impl Service {
             pins: Mutex::new(pins),
             rollup: Mutex::new(BTreeMap::new()),
             memo: Mutex::new(HashMap::new()),
+            wake: OnceLock::new(),
             started: Instant::now(),
             fp,
         };
@@ -189,13 +202,25 @@ impl Service {
 
     /// Whether shutdown has been requested.
     pub fn stopping(&self) -> bool {
-        self.stopping.load(Ordering::Relaxed)
+        self.stopping.load(Ordering::SeqCst)
     }
 
     /// Requests shutdown: the accept loop stops taking connections and
-    /// the server begins its drain.
+    /// the server begins its drain. The first request wakes the blocked
+    /// accept loop with one connection to the server's own port, which
+    /// the loop drops unanswered.
     pub fn request_stop(&self) {
-        self.stopping.store(true, Ordering::Relaxed);
+        if !self.stopping.swap(true, Ordering::SeqCst) {
+            if let Some(addr) = self.wake.get() {
+                let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
+            }
+        }
+    }
+
+    /// Records where [`Service::request_stop`] connects to wake the
+    /// accept loop (set once, by [`crate::Server::bind`]).
+    pub(crate) fn set_wake_addr(&self, addr: SocketAddr) {
+        let _ = self.wake.set(addr);
     }
 
     /// Cancels the drain token — every in-flight analysis aborts at its
@@ -309,11 +334,11 @@ impl Service {
     }
 
     /// The whole check path, shared by `/v1/check` and the watcher. The
-    /// response memo answers byte-identical repeats without touching
-    /// the engine (no re-lowering); everything else runs a single-job
-    /// fleet engine against the resident state, so a repeat after a
-    /// formatting, reorder or rename edit still hits the semantic verdict
-    /// cache or replays the baseline pin.
+    /// memo answers byte-identical repeats from the verdict cache without
+    /// touching the engine (no re-lowering); everything else runs a
+    /// single-job fleet engine against the resident state, so a repeat
+    /// after a formatting, reorder or rename edit still hits the semantic
+    /// verdict cache or replays the baseline pin.
     fn check(
         &self,
         manifest: &str,
@@ -326,18 +351,19 @@ impl Service {
         let memo_key = fnv1a_digest(
             format!("{manifest}\u{0}{platform}\u{0}{fp:016x}\u{0}{source}").as_bytes(),
         );
-        if let Some(mut doc) = self.memo.lock().unwrap().get(&memo_key).cloned() {
+        let memo_hit = self.memo.lock().unwrap().get(&memo_key).copied();
+        if let Some(row) =
+            memo_hit.and_then(|key| stored_row(&self.state, key, manifest.to_string(), platform))
+        {
+            // The document a cache hit renders; `metrics` is null because
+            // no engine ran.
             self.registry.counter_add("serve.cache_hits", 1);
-            set_field(&mut doc, "cached", Json::Bool(true));
-            let verdict = doc
-                .get("verdict")
-                .and_then(Json::as_str)
-                .and_then(Verdict::from_label)
-                .unwrap_or(Verdict::Error);
+            let mut doc =
+                rehearsal_fleet::check_document_from_row(&row, analysis.model_metadata, None);
             let drift = attach_serve(&mut doc, true, false, started);
             return CheckOutcome {
                 doc,
-                verdict,
+                verdict: row.verdict,
                 drift,
             };
         }
@@ -421,12 +447,12 @@ impl Service {
                 ("run_ms", Json::Num(row.run_ms as f64)),
             ],
         );
-        if row.verdict != Verdict::Timeout {
+        if let Some(key) = row.store_key.filter(|_| row.verdict != Verdict::Timeout) {
             let mut memo = self.memo.lock().unwrap();
             if memo.len() >= MEMO_CAP {
                 memo.clear();
             }
-            memo.insert(memo_key, doc.clone());
+            memo.insert(memo_key, key);
         }
         let verdict = row.verdict.clone();
         attach_serve(&mut doc, false, drift, started);
@@ -702,6 +728,93 @@ mod tests {
             warm.get("verdict").and_then(Json::as_str),
             Some("deterministic")
         );
+    }
+
+    fn serve_field(doc: &Json, key: &str) -> Option<bool> {
+        doc.get("serve")
+            .and_then(|serve| serve.get(key))
+            .and_then(Json::as_bool)
+    }
+
+    /// The parts of a check document that carry the verdict.
+    fn verdict_parts(doc: &Json) -> [Option<&Json>; 4] {
+        [
+            doc.get("verdict"),
+            doc.get("detail"),
+            doc.get("stats").and_then(|stats| stats.get("resources")),
+            doc.get("diagnostics"),
+        ]
+    }
+
+    #[test]
+    fn memo_hit_renders_the_store_hit_document() {
+        let service = service();
+        let race = "file { '/a': content => 'x' }\nfile { 'b': path => '/a', content => 'y' }";
+        let reformatted =
+            "# same graph\nfile { '/a':\n  content => 'x',\n}\nfile { 'b': path => '/a', content => 'y' }";
+        let (_, cold) = post(&service, "/v1/check", check_body("race.pp", race));
+        assert_eq!(serve_field(&cold, "cache_hit"), Some(false));
+        // A reformat lowers to the same graph: the verdict cache answers.
+        let (_, store_hit) = post(&service, "/v1/check", check_body("race.pp", reformatted));
+        assert_eq!(serve_field(&store_hit, "cache_hit"), Some(false));
+        assert_eq!(store_hit.get("cached").and_then(Json::as_bool), Some(true));
+        // A byte-identical repeat: the memo answers.
+        let (_, memo_hit) = post(&service, "/v1/check", check_body("race.pp", race));
+        assert_eq!(serve_field(&memo_hit, "cache_hit"), Some(true));
+        assert_eq!(memo_hit.get("cached").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            memo_hit.get("verdict").and_then(Json::as_str),
+            Some("nondeterministic")
+        );
+        assert_eq!(verdict_parts(&memo_hit), verdict_parts(&store_hit));
+        assert!(memo_hit
+            .get("diagnostics")
+            .is_some_and(|d| matches!(d, Json::Arr(items) if !items.is_empty())));
+        for doc in [&memo_hit, &store_hit] {
+            let reuse = doc.get("reuse").expect("reuse object");
+            assert_eq!(reuse.get("resources_clean").and_then(Json::as_u64), Some(2));
+            assert_eq!(reuse.get("resources_dirty").and_then(Json::as_u64), Some(0));
+            let stats = doc.get("stats").expect("stats object");
+            assert_eq!(
+                stats.get("sequences_explored").and_then(Json::as_u64),
+                Some(0)
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_lowering_failure_is_a_memo_hit_with_the_same_error() {
+        let service = service();
+        let broken = "file { '/a': content => ";
+        let (status, first) = post(&service, "/v1/check", check_body("broken.pp", broken));
+        assert_eq!(status, 200);
+        assert_eq!(first.get("verdict").and_then(Json::as_str), Some("error"));
+        assert_eq!(serve_field(&first, "cache_hit"), Some(false));
+        let (_, again) = post(&service, "/v1/check", check_body("broken.pp", broken));
+        assert_eq!(serve_field(&again, "cache_hit"), Some(true));
+        assert_eq!(verdict_parts(&again), verdict_parts(&first));
+        assert_eq!(again.get("reuse"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn a_lowering_failure_never_gets_the_pinned_verdict() {
+        let service = service();
+        let good = "file { '/etc/motd': content => 'hi' }";
+        let broken = "file { '/etc/motd': content => ";
+        let (_, pinned) = post(&service, "/v1/check", check_body("site.pp", good));
+        assert_eq!(
+            pinned.get("verdict").and_then(Json::as_str),
+            Some("deterministic")
+        );
+        for attempt in ["cold", "memo"] {
+            let (_, doc) = post(&service, "/v1/check", check_body("site.pp", broken));
+            assert_eq!(
+                doc.get("verdict").and_then(Json::as_str),
+                Some("error"),
+                "{attempt}: the name's pin must not answer a source that fails to lower"
+            );
+            assert_eq!(serve_field(&doc, "cache_hit"), Some(attempt == "memo"));
+        }
     }
 
     #[test]

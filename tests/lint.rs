@@ -120,19 +120,26 @@ fn lint_is_solver_free() {
 }
 
 /// The pass stays in static-analysis time: under 50ms per bundled
-/// manifest even unoptimized (release builds are ~1ms).
+/// manifest even unoptimized (release builds are ~1ms). Each manifest is
+/// timed as the best of 3 runs, so one scheduling stall on a loaded
+/// machine cannot decide the result; lint cost itself shows in all 3.
 #[test]
 fn lint_stays_under_fifty_millis_per_manifest() {
     for b in rehearsal::benchmarks::SUITE
         .iter()
         .chain(rehearsal::benchmarks::FIXED_SUITE)
     {
-        let start = std::time::Instant::now();
-        let _ = lint(b.name, b.source);
-        let elapsed = start.elapsed();
+        let elapsed = (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let _ = lint(b.name, b.source);
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
         assert!(
             elapsed.as_millis() < 50,
-            "{}: lint took {elapsed:?}",
+            "{}: lint took {elapsed:?} at best of 3",
             b.name
         );
     }

@@ -1,8 +1,9 @@
 //! Integration tests for `rehearsal serve` and `rehearsal coverage`:
 //! concurrent-request verdict parity with the batch CLI, warm-repeat
 //! memoization, graceful shutdown with a verified history chain,
-//! torn-tail crash recovery, watch-mode drift detection, and the
-//! coverage gate's exit codes.
+//! torn-tail crash recovery, signal-driven shutdown of the `serve`
+//! binary, watch-mode drift detection, and the coverage gate's exit
+//! codes.
 
 use rehearsal::benchmarks::{METADATA_SUITE, SUITE};
 use rehearsal::fleet::{Json, StateDir};
@@ -185,6 +186,78 @@ fn shutdown_flushes_state_and_seals_the_history_chain() {
     let report = verify_chain(&history).unwrap();
     assert!(report.valid >= 3, "start + check + shutdown at minimum");
     assert!(!report.torn, "no torn JSONL lines after a clean drain");
+    let text = std::fs::read_to_string(&history).unwrap();
+    assert!(
+        text.lines().last().unwrap().contains("\"shutdown\""),
+        "chain ends with the shutdown record"
+    );
+}
+
+/// SIGTERM reaches a daemon blocked in `accept`: the signal watcher
+/// wakes the loop, and the process drains, seals its history and exits
+/// 0 well within the drain grace.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_the_serve_binary_and_seals_the_history() {
+    use rehearsal::serve::server::DRAIN_GRACE;
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    extern "C" {
+        fn kill(pid: i32, signal: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let state_dir = temp_dir("sigterm");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rehearsal"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--state-dir"])
+        .arg(&state_dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rehearsal serve");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(
+            stderr.read_line(&mut line).unwrap() > 0,
+            "serve exited before listening"
+        );
+        if let Some(rest) = line.split("listening on http://").nth(1) {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+    let doc = check_request(
+        &addr,
+        &Json::obj([("manifest", Json::str("m.pp")), ("source", Json::str(DET))]),
+    );
+    assert_eq!(
+        doc.get("verdict").and_then(Json::as_str),
+        Some("deterministic")
+    );
+
+    let pid = i32::try_from(child.id()).unwrap();
+    // SAFETY: `kill` takes two plain integers and touches no memory of
+    // this process; `pid` is our own child, not yet reaped, so it cannot
+    // name another process.
+    assert_eq!(unsafe { kill(pid, SIGTERM) }, 0);
+    let deadline = Instant::now() + DRAIN_GRACE;
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("serve did not exit within {DRAIN_GRACE:?} of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "drained exit is 0, got {status}");
+
+    let history = state_dir.join(HISTORY_FILE);
+    let report = verify_chain(&history).unwrap();
+    assert!(!report.torn, "no torn JSONL lines after a signal drain");
     let text = std::fs::read_to_string(&history).unwrap();
     assert!(
         text.lines().last().unwrap().contains("\"shutdown\""),
