@@ -837,6 +837,7 @@ pub fn check_determinism(
     //    decide. A divergence reduces to a concrete initial filesystem
     //    plus two pruned-graph orders.
     let explore_span = rehearsal_trace::span_cat("explore", "core");
+    let domain_span = rehearsal_trace::span_cat("domain", "core");
     let domain = Domain::of_exprs(pruned.exprs.iter().copied());
     let paths = domain.len();
     let meta_tracked_paths = domain.meta_paths.len();
@@ -854,6 +855,8 @@ pub fn check_determinism(
         enc.mark_read_only(p);
     }
     let initial = enc.initial_state();
+    drop(domain_span);
+    let search_span = rehearsal_trace::span_cat("search", "core");
     let mut explorer = Explorer::new(&pruned, options, deadline);
     let early = explorer.run(&mut enc, initial.clone())?;
     let outputs = explorer.outputs;
@@ -908,8 +911,10 @@ pub fn check_determinism(
     // Phase boundary: the hot loops above kept local counters; the
     // registry sees them exactly once, here.
     enc.ctx.publish_trace_metrics();
+    drop(search_span);
 
     let divergence = divergence.map(|(which, model)| {
+        let _span = rehearsal_trace::span_cat("decode", "core");
         let init_fs = enc.decode_state(&model, &initial);
         (init_fs, outputs[0].0.clone(), outputs[which].0.clone())
     });

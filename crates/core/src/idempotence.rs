@@ -31,6 +31,16 @@
 //!
 //! One deadline covers the whole check: component queries and the
 //! fallback share `options.timeout`, measured from entry.
+//!
+//! # Certificates first
+//!
+//! Every query, whether a component, the monolithic fallback or
+//! [`check_expr_idempotence`], first asks the solver-free certificate of
+//! [`crate::certify`]. It proves most resource idioms idempotent in
+//! microseconds (a `certify` span; counted in `idempotence.certified`)
+//! and otherwise abstains, so the SAT query below runs only when it does.
+//! The certificate never refutes: every `NotIdempotent` verdict and
+//! counterexample is SAT's.
 
 use crate::determinism::{AnalysisAborted, AnalysisOptions, FsGraph};
 use crate::domain::Domain;
@@ -96,8 +106,9 @@ pub fn check_idempotence(
     let deadline = deadline(options);
     let parts = components(graph);
     rehearsal_trace::counter_add("idempotence.components", parts.len() as u64);
-    // Published at 0 too, so every check's metrics carry both counters.
+    // Published at 0 too, so every check's metrics carry these counters.
     rehearsal_trace::counter_add("idempotence.fallbacks", 0);
+    rehearsal_trace::counter_add("idempotence.certified", 0);
     let seq = |ids: &[usize]| Expr::seq_all(ids.iter().map(|&i| graph.exprs[i]));
     if parts.len() > 1 {
         for part in &parts {
@@ -153,8 +164,9 @@ fn deadline(options: &AnalysisOptions) -> Option<Instant> {
     options.timeout.map(|t| Instant::now() + t)
 }
 
-/// One `e ≡ e; e` query in a fresh domain and context, under a deadline
-/// the caller computed once for its whole check.
+/// One `e ≡ e; e` query under a deadline the caller computed once for
+/// its whole check: the solver-free certificate first, then, if it
+/// abstains, SAT in a fresh domain and context.
 fn idempotence_query(
     e: Expr,
     deadline: Option<Instant>,
@@ -170,6 +182,36 @@ fn idempotence_query(
             },
         });
     }
+    let certified = {
+        let _span = rehearsal_trace::span_cat("certify", "core");
+        crate::certify::certify_idempotent(e)
+    };
+    if certified {
+        rehearsal_trace::counter_add("idempotence.certified", 1);
+        return Ok(IdempotenceReport::Idempotent);
+    }
+    sat_query(e, deadline, options)
+}
+
+/// Checks `e ≡ e; e` with the SAT query alone, skipping the certificate:
+/// the reference the certificate is tested against.
+///
+/// # Errors
+///
+/// Returns [`AnalysisAborted`] on timeout.
+pub fn check_expr_idempotence_by_sat(
+    e: Expr,
+    options: &AnalysisOptions,
+) -> Result<IdempotenceReport, AnalysisAborted> {
+    sat_query(e, deadline(options), options)
+}
+
+/// The SAT half of [`idempotence_query`], in a fresh domain and context.
+fn sat_query(
+    e: Expr,
+    deadline: Option<Instant>,
+    options: &AnalysisOptions,
+) -> Result<IdempotenceReport, AnalysisAborted> {
     let (mut enc, s0, diff) = {
         let _span = rehearsal_trace::span_cat("encode", "core");
         let mut enc = Encoder::new(Domain::of_exprs([e]));
@@ -333,7 +375,7 @@ mod tests {
         // Component {mkdir(/a)} is not idempotent on its own, but the
         // resource on /b errors on every state, so the whole manifest
         // always errors and is idempotent. Only the monolithic fallback
-        // can see that.
+        // can see that; its certificate does, without SAT.
         let always_error = Expr::create_file(p("/b"), Content::intern("x")).seq(Expr::ERROR);
         let raw = Expr::mkdir(p("/a"));
         let g = graph(vec![raw, always_error]);
@@ -349,6 +391,7 @@ mod tests {
         let snap = session.snapshot();
         assert_eq!(snap.metrics.counter("idempotence.components"), Some(2));
         assert_eq!(snap.metrics.counter("idempotence.fallbacks"), Some(1));
+        assert_eq!(snap.metrics.counter("idempotence.certified"), Some(1));
         let top: Vec<_> = snap
             .spans
             .iter()
@@ -357,9 +400,10 @@ mod tests {
         assert_eq!(top.len(), 1, "one idempotence span per check");
         assert_eq!(
             snap.spans.iter().filter(|s| s.name == "encode").count(),
-            2,
-            "the first component's query, then the fallback"
+            1,
+            "SAT for the first component; the fallback is certified"
         );
+        assert_eq!(snap.spans.iter().filter(|s| s.name == "certify").count(), 2);
     }
 
     #[test]
@@ -400,21 +444,31 @@ mod tests {
 
     #[test]
     fn one_deadline_covers_every_component() {
-        // Six independent components: a directory and forty files in it.
+        // Six independent components: a directory and forty files in it,
+        // each with a managed mode. The certificate abstains on metadata,
+        // so every component is a SAT query.
         let mut exprs = Vec::new();
         for d in 0..6 {
             exprs.push(guarded_mkdir(&format!("/d{d}")));
             for f in 0..40 {
                 let path = p(&format!("/d{d}/f{f}"));
-                exprs.push(Expr::if_(
-                    Pred::does_not_exist(path),
-                    Expr::create_file(path, Content::intern("x")),
-                    Expr::if_(Pred::is_file(path), Expr::SKIP, Expr::ERROR),
-                ));
+                let mode = Content::intern("0644");
+                exprs.push(
+                    Expr::if_(
+                        Pred::does_not_exist(path),
+                        Expr::create_file(path, Content::intern("x")),
+                        Expr::if_(Pred::is_file(path), Expr::SKIP, Expr::ERROR),
+                    )
+                    .seq(Expr::chmod(path, mode)),
+                );
             }
         }
         let g = graph(exprs);
         assert_eq!(components(&g).len(), 6);
+        for part in components(&g) {
+            let e = Expr::seq_all(part.iter().map(|&i| g.exprs[i]));
+            assert!(!crate::certify::certify_idempotent(e));
+        }
         let opts = AnalysisOptions::default();
         let full = (0..2)
             .map(|_| {

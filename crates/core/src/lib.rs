@@ -11,7 +11,8 @@
 //!    reductions to stay tractable: resource [`elimination`], path
 //!    [`prune`]-ing, and [`commutativity`]-based partial-order reduction.
 //! 3. Once deterministic, [`idempotence`] (`e ≡ e; e`) and post-state
-//!    [`invariants`] are single symbolic queries.
+//!    [`invariants`] are single symbolic queries; idempotence first tries
+//!    a solver-free [`certify`] certificate.
 //!
 //! The symbolic [`encoder`] grounds everything to the CDCL SAT solver in
 //! `rehearsal-solver`; verdicts come with *replayed* counterexamples (the
@@ -37,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
+pub mod certify;
 pub mod commutativity;
 pub mod determinism;
 pub mod domain;
@@ -63,7 +65,7 @@ pub use idempotence::{
 };
 pub use invariants::{check_expr_invariant, check_invariant, Invariant, InvariantReport};
 pub use pipeline::{
-    Rehearsal, RehearsalError, RehearsalErrorKind, SourceAnalysis, VerificationReport,
+    printed_ast, Rehearsal, RehearsalError, RehearsalErrorKind, SourceAnalysis, VerificationReport,
 };
 pub use repair::{suggest_repair, RepairReport};
 pub use report::{

@@ -16,6 +16,17 @@ use rehearsal_puppet::{
 use rehearsal_resources::{compile, CompileCtx, CompileError};
 use std::fmt;
 
+/// The source's AST printed back to text, or `None` when it does not
+/// parse: the source with its comments and layout normalized away.
+/// Parsing the printed text gives back the same AST, so two sources with
+/// equal printed forms have equal ASTs and lower to the same catalog and
+/// graph.
+pub fn printed_ast(source: &str) -> Option<String> {
+    parse(source)
+        .ok()
+        .map(|ast| rehearsal_puppet::print_manifest(&ast))
+}
+
 /// Which pipeline stage a [`RehearsalError`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RehearsalErrorKind {

@@ -12,9 +12,10 @@
 //!   queue, and a fixed request-worker pool;
 //! * [`Service`] — the warm core the workers share: one resident
 //!   [`rehearsal_fleet::StateDir`] (schema-5 verdict cache + baseline
-//!   store), a request memo mapping byte-identical repeats to their
-//!   verdict-cache key so they skip re-lowering, baseline pins for drift
-//!   detection, the coverage rollup, and the live metrics registry;
+//!   store), a request memo mapping byte-identical repeats and
+//!   comment/layout edits to their verdict-cache key so they skip
+//!   re-lowering, baseline pins for drift detection, the coverage rollup,
+//!   and the live metrics registry;
 //! * [`history`] — the hash-chained `rehearsal-history/1` run log
 //!   (tamper-evident; torn tails truncate and degrade, never wedge);
 //! * [`watch`] — poll-based re-verification of a manifest directory
@@ -67,4 +68,4 @@ pub mod watch;
 pub use coverage::{run_coverage, CoverageOptions, CoverageOutcome};
 pub use history::{verify_chain, ChainReport, HistoryLog, HISTORY_FILE, HISTORY_SCHEMA};
 pub use server::Server;
-pub use service::{ServeOptions, Service, SERVE_SCHEMA};
+pub use service::{ast_memo_key, ServeOptions, Service, SERVE_SCHEMA};

@@ -4,20 +4,30 @@
 //! re-lowering, baseline pins for drift detection, the coverage rollup,
 //! the live metrics registry, and the hash-chained run history.
 //!
-//! The memo is a map from `hash(manifest, platform, options, source)` to
-//! the verdict-cache key ([`StoreKey`]) the engine answered that request
-//! from or filed it under: a graph key for a source that lowered, the
-//! source key for one that did not. It holds no response of its own; a
-//! hit reads the cached verdict and renders the document a cache hit
-//! renders, so the verdict cache stays the single copy of every verdict
-//! and a memo entry costs a few dozen bytes.
+//! The memo maps request keys to the verdict-cache key ([`StoreKey`])
+//! the engine answered that request from or filed it under (a graph key
+//! for a source that lowered, the source key for one that did not), plus
+//! the graph digest the coverage rollup shows. It has two kinds of keys:
+//!
+//! * the raw key, `hash(manifest, platform, options, source)`, which
+//!   answers byte-identical repeats without parsing;
+//! * the AST key ([`ast_memo_key`]), `hash(manifest, platform, options,
+//!   print(parse(source)))`, looked up only on a raw-key miss, which
+//!   answers comment and layout edits. It is filed only for sources that
+//!   lowered.
+//!
+//! The memo holds no response of its own; a hit reads the cached verdict
+//! and renders the document a cache hit renders, so the verdict cache
+//! stays the single copy of every verdict and a memo entry costs a few
+//! dozen bytes. A hit is settled like an engine run: drift against the
+//! pin, the rollup row and the `check` history record.
 
 use crate::history::{HistoryLog, HISTORY_FILE};
 use crate::http::{Request, Response};
-use rehearsal_core::{AnalysisOptions, CancelToken};
+use rehearsal_core::{printed_ast, AnalysisOptions, CancelToken};
 use rehearsal_fleet::{
     diagnostic_json, fnv1a_digest, options_fingerprint, stored_row, BaselineStore, FleetEngine,
-    FleetJob, FleetOptions, Json, StateDir, StoreKey, Verdict,
+    FleetJob, FleetOptions, JobResult, Json, StateDir, StoreKey, Verdict,
 };
 use rehearsal_lint::{lint_source, LintOptions};
 use rehearsal_pkgdb::Platform;
@@ -103,6 +113,14 @@ struct RollupRow {
     cached: bool,
 }
 
+/// What the memo keeps per request key: the verdict-cache key that
+/// answers it and the graph digest its rollup row shows.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    key: StoreKey,
+    digest: u64,
+}
+
 /// The result of one internal check, as the watcher and the HTTP
 /// handler both consume it.
 struct CheckOutcome {
@@ -124,7 +142,7 @@ pub struct Service {
     history: Option<Mutex<HistoryLog>>,
     pins: Mutex<BTreeMap<String, (u64, Verdict)>>,
     rollup: Mutex<BTreeMap<String, RollupRow>>,
-    memo: Mutex<HashMap<u64, StoreKey>>,
+    memo: Mutex<HashMap<u64, MemoEntry>>,
     wake: OnceLock<SocketAddr>,
     started: Instant,
     fp: u64,
@@ -334,11 +352,13 @@ impl Service {
     }
 
     /// The whole check path, shared by `/v1/check` and the watcher. The
-    /// memo answers byte-identical repeats from the verdict cache without
-    /// touching the engine (no re-lowering); everything else runs a
-    /// single-job fleet engine against the resident state, so a repeat
-    /// after a formatting, reorder or rename edit still hits the semantic
-    /// verdict cache or replays the baseline pin.
+    /// memo answers repeats from the verdict cache without touching the
+    /// engine: byte-identical ones by the raw key, and comment or layout
+    /// edits by the printed-AST key (see [`ast_memo_key`]). Everything
+    /// else runs a single-job fleet engine against the resident state, so
+    /// a reorder or rename edit still hits the semantic verdict cache or
+    /// replays the baseline pin. Either way the answer is settled the
+    /// same way: drift, the rollup row and the history record.
     fn check(
         &self,
         manifest: &str,
@@ -348,32 +368,30 @@ impl Service {
     ) -> CheckOutcome {
         let started = Instant::now();
         let fp = options_fingerprint(platform, &analysis);
-        let memo_key = fnv1a_digest(
-            format!("{manifest}\u{0}{platform}\u{0}{fp:016x}\u{0}{source}").as_bytes(),
-        );
-        let memo_hit = self.memo.lock().unwrap().get(&memo_key).copied();
-        if let Some(row) =
-            memo_hit.and_then(|key| stored_row(&self.state, key, manifest.to_string(), platform))
-        {
+        let raw_key = memo_key("source", manifest, platform, fp, &source);
+        let mut hit = self.memo_get(raw_key);
+        let mut ast_key = None;
+        if hit.is_none() {
+            ast_key = ast_key_of(manifest, platform, fp, &source);
+            hit = ast_key.and_then(|key| self.memo_get(key));
+        }
+        if let Some((entry, row)) = hit.and_then(|entry| {
+            stored_row(&self.state, entry.key, manifest.to_string(), platform)
+                .map(|row| (entry, row))
+        }) {
             // The document a cache hit renders; `metrics` is null because
             // no engine ran.
             self.registry.counter_add("serve.cache_hits", 1);
             let mut doc =
                 rehearsal_fleet::check_document_from_row(&row, analysis.model_metadata, None);
-            let drift = attach_serve(&mut doc, true, false, started);
+            let drift = self.settle(manifest, platform, fp, &row, entry.digest);
+            attach_serve(&mut doc, true, drift, started);
             return CheckOutcome {
                 doc,
                 verdict: row.verdict,
                 drift,
             };
         }
-
-        // Drift compares against the pin as it stood *before* this run:
-        // the engine re-records the baseline entry afterwards.
-        let tracked = fp == self.fp && platform == self.options.platform;
-        let pinned = tracked
-            .then(|| self.pins.lock().unwrap().get(manifest).cloned())
-            .flatten();
 
         let mut engine = FleetEngine::new(FleetOptions {
             jobs: 1,
@@ -394,24 +412,66 @@ impl Service {
             analysis.model_metadata,
             Some(&report.metrics),
         );
-
         let digest = self
             .state
             .baseline_get(manifest, fp)
             .map_or_else(|| fnv1a_digest(row.manifest.as_bytes()), |e| e.graph_digest);
-        let drift = pinned
-            .as_ref()
-            .is_some_and(|(_, verdict)| *verdict != row.verdict);
-        if tracked {
-            if pinned.is_none() {
-                // First sighting: adopt the verdict as this daemon's pin
-                // so later edits under watch have something to drift
-                // against even without a pre-seeded baseline.
-                self.pins
-                    .lock()
-                    .unwrap()
-                    .insert(manifest.to_string(), (digest, row.verdict.clone()));
+        let drift = self.settle(manifest, platform, fp, row, digest);
+        if let Some(key) = row.store_key.filter(|_| row.verdict != Verdict::Timeout) {
+            let entry = MemoEntry { key, digest };
+            let mut memo = self.memo.lock().unwrap();
+            if memo.len() >= MEMO_CAP {
+                memo.clear();
             }
+            memo.insert(raw_key, entry);
+            // A lowering failure's detail and diagnostics carry source
+            // positions, so only a lowered graph is shared across layouts.
+            if let (StoreKey::Graph(_), Some(ast_key)) = (key, ast_key) {
+                memo.insert(ast_key, entry);
+            }
+        }
+        let verdict = row.verdict.clone();
+        attach_serve(&mut doc, false, drift, started);
+        CheckOutcome {
+            doc,
+            verdict,
+            drift,
+        }
+    }
+
+    fn memo_get(&self, key: u64) -> Option<MemoEntry> {
+        self.memo.lock().unwrap().get(&key).copied()
+    }
+
+    /// Settles one answer, however it was reached: compares the verdict
+    /// with the manifest's pin (adopting it as the pin on first sight),
+    /// updates the coverage rollup and appends the `check` history
+    /// record. Returns whether the verdict drifted from the pin.
+    fn settle(
+        &self,
+        manifest: &str,
+        platform: Platform,
+        fp: u64,
+        row: &JobResult,
+        digest: u64,
+    ) -> bool {
+        let tracked = fp == self.fp && platform == self.options.platform;
+        let mut drift = false;
+        if tracked {
+            let pinned = {
+                let mut pins = self.pins.lock().unwrap();
+                let pinned = pins.get(manifest).map(|(_, verdict)| verdict.clone());
+                if pinned.is_none() {
+                    // First sighting: adopt the verdict as this daemon's
+                    // pin so later edits under watch have something to
+                    // drift against even without a pre-seeded baseline.
+                    pins.insert(manifest.to_string(), (digest, row.verdict.clone()));
+                }
+                pinned
+            };
+            drift = pinned
+                .as_ref()
+                .is_some_and(|verdict| *verdict != row.verdict);
             if drift {
                 self.registry.counter_add("serve.drift_detected", 1);
                 self.record(
@@ -420,7 +480,7 @@ impl Service {
                         ("manifest", Json::str(manifest)),
                         (
                             "baseline",
-                            Json::str(pinned.as_ref().map_or("", |(_, v)| v.label())),
+                            Json::str(pinned.as_ref().map_or("", Verdict::label)),
                         ),
                         ("verdict", Json::str(row.verdict.label())),
                     ],
@@ -431,7 +491,7 @@ impl Service {
                 RollupRow {
                     digest,
                     verdict: row.verdict.clone(),
-                    baseline: pinned.as_ref().map(|(_, v)| v.clone()),
+                    baseline: pinned,
                     drift,
                     cached: row.cached,
                 },
@@ -447,20 +507,7 @@ impl Service {
                 ("run_ms", Json::Num(row.run_ms as f64)),
             ],
         );
-        if let Some(key) = row.store_key.filter(|_| row.verdict != Verdict::Timeout) {
-            let mut memo = self.memo.lock().unwrap();
-            if memo.len() >= MEMO_CAP {
-                memo.clear();
-            }
-            memo.insert(memo_key, key);
-        }
-        let verdict = row.verdict.clone();
-        attach_serve(&mut doc, false, drift, started);
-        CheckOutcome {
-            doc,
-            verdict,
-            drift,
-        }
+        drift
     }
 
     /// Re-verifies a changed (or newly discovered) manifest from the
@@ -648,6 +695,43 @@ impl Service {
     }
 }
 
+/// The memo key of one request: a hash of the kind of `text` (`source`
+/// or `ast`), the manifest name, platform, options fingerprint and `text`.
+fn memo_key(kind: &str, manifest: &str, platform: Platform, fp: u64, text: &str) -> u64 {
+    fnv1a_digest(
+        format!("{kind}\u{0}{manifest}\u{0}{platform}\u{0}{fp:016x}\u{0}{text}").as_bytes(),
+    )
+}
+
+/// The memo's second key for a check request: the hash of the request's
+/// manifest name, platform and options with the source's printed AST, or
+/// `None` when the source does not parse.
+///
+/// Parsing the printed text gives back the same AST (the printer round
+/// trip is tested on every pinned manifest), so two sources with equal
+/// printed ASTs have equal ASTs and lower to the same catalog and graph:
+/// comment and layout edits share this key, and any edit to a literal
+/// does not. The daemon files a request under this key only when its
+/// source lowered; a lowering failure's detail and diagnostics carry
+/// source positions.
+pub fn ast_memo_key(
+    manifest: &str,
+    source: &str,
+    platform: Platform,
+    options: &AnalysisOptions,
+) -> Option<u64> {
+    ast_key_of(
+        manifest,
+        platform,
+        options_fingerprint(platform, options),
+        source,
+    )
+}
+
+fn ast_key_of(manifest: &str, platform: Platform, fp: u64, source: &str) -> Option<u64> {
+    printed_ast(source).map(|ast| memo_key("ast", manifest, platform, fp, &ast))
+}
+
 /// Replaces (or appends) a top-level field on an object document.
 fn set_field(doc: &mut Json, key: &str, value: Json) {
     if let Json::Obj(pairs) = doc {
@@ -662,8 +746,8 @@ fn set_field(doc: &mut Json, key: &str, value: Json) {
 }
 
 /// Attaches the daemon's per-request accounting (`serve` object) to a
-/// check document; returns the recorded drift flag for convenience.
-fn attach_serve(doc: &mut Json, memo_hit: bool, drift: bool, started: Instant) -> bool {
+/// check document.
+fn attach_serve(doc: &mut Json, memo_hit: bool, drift: bool, started: Instant) {
     set_field(
         doc,
         "serve",
@@ -673,7 +757,6 @@ fn attach_serve(doc: &mut Json, memo_hit: bool, drift: bool, started: Instant) -
             ("run_us", Json::Num(started.elapsed().as_micros() as f64)),
         ]),
     );
-    drift
 }
 
 #[cfg(test)]
@@ -750,12 +833,12 @@ mod tests {
     fn memo_hit_renders_the_store_hit_document() {
         let service = service();
         let race = "file { '/a': content => 'x' }\nfile { 'b': path => '/a', content => 'y' }";
-        let reformatted =
-            "# same graph\nfile { '/a':\n  content => 'x',\n}\nfile { 'b': path => '/a', content => 'y' }";
+        let reordered = "file { 'b': path => '/a', content => 'y' }\nfile { '/a': content => 'x' }";
         let (_, cold) = post(&service, "/v1/check", check_body("race.pp", race));
         assert_eq!(serve_field(&cold, "cache_hit"), Some(false));
-        // A reformat lowers to the same graph: the verdict cache answers.
-        let (_, store_hit) = post(&service, "/v1/check", check_body("race.pp", reformatted));
+        // A reorder changes the AST but lowers to the same graph: the
+        // verdict cache answers.
+        let (_, store_hit) = post(&service, "/v1/check", check_body("race.pp", reordered));
         assert_eq!(serve_field(&store_hit, "cache_hit"), Some(false));
         assert_eq!(store_hit.get("cached").and_then(Json::as_bool), Some(true));
         // A byte-identical repeat: the memo answers.
@@ -780,6 +863,37 @@ mod tests {
                 Some(0)
             );
         }
+    }
+
+    #[test]
+    fn a_reformat_is_a_memo_hit_and_a_literal_edit_is_not() {
+        let service = service();
+        let source = "file { '/etc/motd': content => 'hi' }";
+        let reformatted = "# banner\nfile { '/etc/motd':\n    content => 'hi',\n}\n";
+        let edited = "file { '/etc/motd': content => 'ho' }";
+        let (_, cold) = post(&service, "/v1/check", check_body("motd.pp", source));
+        assert_eq!(serve_field(&cold, "cache_hit"), Some(false));
+        let (_, hit) = post(&service, "/v1/check", check_body("motd.pp", reformatted));
+        assert_eq!(serve_field(&hit, "cache_hit"), Some(true));
+        assert_eq!(verdict_parts(&hit)[..3], verdict_parts(&cold)[..3]);
+        let (_, other) = post(&service, "/v1/check", check_body("motd.pp", edited));
+        assert_eq!(serve_field(&other, "cache_hit"), Some(false));
+        // The name is part of the key.
+        let (_, renamed) = post(&service, "/v1/check", check_body("other.pp", reformatted));
+        assert_eq!(serve_field(&renamed, "cache_hit"), Some(false));
+    }
+
+    #[test]
+    fn a_reformatted_lowering_failure_is_not_a_memo_hit() {
+        let service = service();
+        // Parses, but fails to lower: the error names a source position.
+        let broken = "file { '/a': content => 'x' }\nfile { 'b': path => '/a', ensure => bogus }";
+        let moved = format!("\n\n{broken}");
+        let (_, first) = post(&service, "/v1/check", check_body("broken.pp", broken));
+        assert_eq!(first.get("verdict").and_then(Json::as_str), Some("error"));
+        let (_, again) = post(&service, "/v1/check", check_body("broken.pp", &moved));
+        assert_eq!(again.get("verdict").and_then(Json::as_str), Some("error"));
+        assert_eq!(serve_field(&again, "cache_hit"), Some(false));
     }
 
     #[test]

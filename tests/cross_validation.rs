@@ -6,42 +6,28 @@
 //! SAT-based verdict must coincide with literally trying every valid
 //! permutation on every (tree-consistent) filesystem.
 //!
-//! Graphs are sampled with a small in-file deterministic PRNG instead of
-//! an external property-testing crate (the build environment is offline),
+//! The solver-free idempotence certificate is held to the same standard:
+//! whatever it proves must be idempotent by brute force and by SAT.
+//!
+//! Graphs are sampled with a small deterministic PRNG instead of an
+//! external property-testing crate (the build environment is offline),
 //! so every run covers the same seeded case set.
 
+mod support;
+
+use rehearsal::core::certify::certify_idempotent;
 use rehearsal::core::determinism::{check_determinism, AnalysisOptions, FsGraph};
 use rehearsal::core::equivalence::check_expr_equivalence;
-use rehearsal::core::idempotence::{check_expr_idempotence, check_idempotence, components};
+use rehearsal::core::idempotence::{
+    check_expr_idempotence, check_expr_idempotence_by_sat, check_idempotence, components,
+};
 use rehearsal::fs::{
     enumerate_filesystems, eval, Content, Expr, FileState, FileSystem, FsPath, Pred,
 };
+use rehearsal::serve::{ast_memo_key, ServeOptions, Service};
+use rehearsal::{Platform, Rehearsal};
 use std::collections::BTreeSet;
-
-/// Deterministic splitmix64 generator for test-case sampling.
-struct Prng(u64);
-
-impl Prng {
-    fn new(seed: u64) -> Prng {
-        Prng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn usize(&mut self, bound: usize) -> usize {
-        (self.next_u64() % bound as u64) as usize
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-}
+use support::{comment_edit, edit_first_literal, pinned, reindent, Prng};
 
 fn paths() -> Vec<FsPath> {
     vec![
@@ -294,7 +280,7 @@ fn spread_paths() -> Vec<FsPath> {
 fn graph_idempotence_matches_brute_force_and_monolithic() {
     let mut rng = Prng::new(34);
     let spread = spread_paths();
-    let (mut checked, mut split, mut split_non_idempotent) = (0, 0, 0);
+    let (mut checked, mut split, mut split_non_idempotent, mut certified) = (0, 0, 0, 0);
     for case in 0..300 {
         let n = 3 + rng.usize(2);
         let exprs: Vec<Expr> = (0..n)
@@ -330,6 +316,10 @@ fn graph_idempotence_matches_brute_force_and_monolithic() {
         let mono = check_expr_idempotence(whole, &AnalysisOptions::default()).expect("no abort");
         assert_eq!(report.is_idempotent(), expected, "case {case}: {whole}");
         assert_eq!(mono.is_idempotent(), expected, "case {case}: {whole}");
+        if certify_idempotent(whole) {
+            assert!(expected, "case {case}: certified {whole}");
+            certified += 1;
+        }
         checked += 1;
         if components(&graph).len() > 1 {
             split += 1;
@@ -344,4 +334,230 @@ fn graph_idempotence_matches_brute_force_and_monolithic() {
         split_non_idempotent >= 10,
         "only {split_non_idempotent} split graphs are non-idempotent"
     );
+    assert!(certified >= 50, "only {certified} graphs certified");
+}
+
+/// Paths the certificate tests mention, and two children no expression
+/// names: they let a directory be non-empty, so `rm` and `emptydir?` of a
+/// directory can fail or pass on states the expressions cannot see.
+fn certify_paths() -> (Vec<FsPath>, Vec<FsPath>) {
+    let parse = |s: &str| FsPath::parse(s).unwrap();
+    let named = vec![parse("/a"), parse("/a/f"), parse("/b")];
+    let hidden = vec![parse("/a/u"), parse("/b/u")];
+    (named, hidden)
+}
+
+/// A random guard over `ps`: a path test, or `and`/`or`/`not` of
+/// smaller guards.
+fn random_guard(rng: &mut Prng, ps: &[FsPath], depth: usize) -> Pred {
+    let p = ps[rng.usize(ps.len())];
+    match rng.usize(if depth == 0 { 4 } else { 7 }) {
+        0 => Pred::does_not_exist(p),
+        1 => Pred::is_file(p),
+        2 => Pred::is_dir(p),
+        3 => Pred::is_empty_dir(p),
+        4 => random_guard(rng, ps, depth - 1).and(random_guard(rng, ps, depth - 1)),
+        5 => random_guard(rng, ps, depth - 1).or(random_guard(rng, ps, depth - 1)),
+        _ => random_guard(rng, ps, depth - 1).not(),
+    }
+}
+
+/// One step of the certificate's test pool: the resource idioms plus
+/// `cp`, removal of directories, `emptydir?` and compound guards.
+fn random_step(rng: &mut Prng, ps: &[FsPath]) -> Expr {
+    let p = ps[rng.usize(ps.len())];
+    let q = ps[rng.usize(ps.len())];
+    match rng.usize(15) {
+        0..=5 => random_expr_over(rng, ps),
+        6 => Expr::if_(
+            Pred::is_empty_dir(p),
+            random_expr_over(rng, ps),
+            random_expr_over(rng, ps),
+        ),
+        7 => Expr::cp(p, q),
+        8 => Expr::if_(
+            Pred::does_not_exist(q),
+            Expr::cp(p, q),
+            Expr::if_(
+                Pred::is_file(q),
+                Expr::rm(q).seq(Expr::cp(p, q)),
+                Expr::ERROR,
+            ),
+        ),
+        9 => Expr::if_then(Pred::is_empty_dir(p), Expr::rm(p)),
+        10 => Expr::if_then(Pred::is_dir(p), Expr::rm(p)),
+        11 => Expr::if_(
+            random_guard(rng, ps, 2),
+            random_expr_over(rng, ps),
+            random_expr_over(rng, ps),
+        ),
+        12 => Expr::if_then(
+            Pred::is_dir(p).not().and(Pred::does_not_exist(p)),
+            Expr::mkdir(p),
+        ),
+        _ => Expr::if_(random_guard(rng, ps, 1), Expr::SKIP, Expr::ERROR),
+    }
+}
+
+/// Certificate ⇒ idempotent, against brute force over every consistent
+/// state (hidden children included) on seeded random expressions of 1–4
+/// steps. The certificate must also prove most idempotent ones, and the
+/// pool must produce plenty of non-idempotent ones for the check to bite.
+#[test]
+fn certificate_implies_brute_force_idempotence() {
+    let (named, hidden) = certify_paths();
+    let all: Vec<FsPath> = named.iter().chain(&hidden).copied().collect();
+    let states = consistent_states(&all, &contents());
+    let mut rng = Prng::new(35);
+    let (mut idempotent, mut certified, mut refuted) = (0, 0, 0);
+    for case in 0..6000 {
+        let steps = 1 + rng.usize(4);
+        let e = Expr::seq_all((0..steps).map(|_| random_step(&mut rng, &named)));
+        let expected = states.iter().all(|fs| {
+            let once = eval(e, fs);
+            once.clone().and_then(|s| eval(e, &s)) == once
+        });
+        let proved = certify_idempotent(e);
+        assert!(!proved || expected, "case {case}: certified {e}");
+        idempotent += usize::from(expected);
+        certified += usize::from(proved);
+        refuted += usize::from(!expected);
+    }
+    assert!(refuted >= 1000, "only {refuted} non-idempotent cases");
+    assert!(
+        certified * 10 >= idempotent * 7,
+        "certified {certified} of {idempotent} idempotent cases"
+    );
+}
+
+/// Lowers one pinned manifest with the options the checker uses for it.
+fn lower(m: &support::Pinned) -> FsGraph {
+    let options = AnalysisOptions {
+        model_metadata: m.metadata,
+        ..AnalysisOptions::default()
+    };
+    Rehearsal::new(Platform::Ubuntu)
+        .with_options(options)
+        .lower_source(m.source)
+        .unwrap_or_else(|e| panic!("{}: {e}", m.name))
+        .0
+}
+
+/// Certificate ⇒ SAT `Idempotent` on every pinned manifest, for each
+/// footprint component and for the whole topological order. Every
+/// component of the 13 fixed-suite manifests is certified.
+#[test]
+fn certificate_implies_sat_on_pinned_manifests() {
+    let fixed: BTreeSet<&str> = rehearsal::benchmarks::FIXED_SUITE
+        .iter()
+        .map(|b| b.name)
+        .collect();
+    let mut fixed_components = 0;
+    for m in pinned() {
+        let graph = lower(&m);
+        let mut exprs: Vec<Expr> = components(&graph)
+            .iter()
+            .map(|part| Expr::seq_all(part.iter().map(|&i| graph.exprs[i])))
+            .collect();
+        if fixed.contains(m.name) {
+            fixed_components += exprs.len();
+            for e in &exprs {
+                assert!(certify_idempotent(*e), "{}: a component abstains", m.name);
+            }
+        }
+        exprs.push(Expr::seq_all(
+            graph
+                .topological_order()
+                .into_iter()
+                .map(|i| graph.exprs[i]),
+        ));
+        for e in exprs {
+            if certify_idempotent(e) {
+                let sat = check_expr_idempotence_by_sat(e, &AnalysisOptions::default())
+                    .expect("no abort");
+                assert!(sat.is_idempotent(), "{}: certified, SAT refutes", m.name);
+            }
+        }
+    }
+    assert_eq!(fixed_components, 23);
+}
+
+/// For every pinned manifest, comment and re-indent variants share the
+/// serve memo's AST key, and editing one literal does not.
+#[test]
+fn layout_edits_share_the_ast_memo_key_and_literal_edits_do_not() {
+    let options = AnalysisOptions::default();
+    let key = |name: &str, text: &str| {
+        ast_memo_key(name, text, Platform::Ubuntu, &options)
+            .unwrap_or_else(|| panic!("{name}: does not parse"))
+    };
+    for (i, m) in pinned().into_iter().enumerate() {
+        // The key's premise: printing and re-parsing gives the same AST.
+        let ast = rehearsal::puppet::parse(m.source).expect("pinned manifests parse");
+        let printed = rehearsal::puppet::print_manifest(&ast);
+        assert_eq!(
+            rehearsal::puppet::parse(&printed).unwrap(),
+            ast,
+            "{}",
+            m.name
+        );
+        let original = key(m.name, m.source);
+        for width in [1, 3, 8] {
+            let variant = reindent(&comment_edit(m.source, i * 7 + width, "t"), width);
+            assert_ne!(variant, m.source);
+            assert_eq!(key(m.name, &variant), original, "{}: width {width}", m.name);
+        }
+        let renamed = edit_first_literal(m.source, "-x").expect("a quoted literal");
+        assert_ne!(key(m.name, &renamed), original, "{}", m.name);
+        assert_ne!(key("other", m.source), original, "{}", m.name);
+    }
+}
+
+/// A source that parses but fails to lower is never filed under its AST
+/// key: its error carries source positions, so a reformat of it must be
+/// lowered again, not answered from the memo.
+#[test]
+fn a_source_that_fails_to_lower_never_gets_an_ast_key() {
+    let service = Service::new(ServeOptions::default()).unwrap();
+    let post = |name: &str, source: &str| {
+        let body = rehearsal::fleet::Json::obj([
+            ("manifest", rehearsal::fleet::Json::str(name)),
+            ("source", rehearsal::fleet::Json::str(source)),
+        ]);
+        let response = service.handle(&rehearsal::serve::http::Request {
+            method: "POST".to_string(),
+            path: "/v1/check".to_string(),
+            body: body.render().into_bytes(),
+        });
+        rehearsal::fleet::parse_json(&response.body).unwrap()
+    };
+    let field = |doc: &rehearsal::fleet::Json, key: &str| {
+        doc.get("serve")
+            .and_then(|serve| serve.get(key))
+            .and_then(rehearsal::fleet::Json::as_bool)
+    };
+    for m in pinned().into_iter().filter(|m| !m.metadata) {
+        let broken = format!("{}\nfile {{ '/broken': ensure => bogus }}\n", m.source);
+        assert!(ast_memo_key(
+            m.name,
+            &broken,
+            Platform::Ubuntu,
+            &AnalysisOptions::default()
+        )
+        .is_some());
+        let first = post(m.name, &broken);
+        assert_eq!(
+            first
+                .get("verdict")
+                .and_then(rehearsal::fleet::Json::as_str),
+            Some("error"),
+            "{}",
+            m.name
+        );
+        let moved = comment_edit(&broken, 0, "moved");
+        let again = post(m.name, &moved);
+        assert_eq!(field(&again, "cache_hit"), Some(false), "{}", m.name);
+        // A byte-identical repeat is still a raw-key memo hit.
+        assert_eq!(field(&post(m.name, &moved), "cache_hit"), Some(true));
+    }
 }

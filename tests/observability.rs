@@ -1,6 +1,10 @@
 //! Integration tests for the observability layer: tracing must never
 //! change verdicts, disabled-mode overhead stays within noise, and trace
 //! output is deterministic modulo timestamps.
+//!
+//! The tests in this file run one at a time (see [`serial`]): the arena
+//! gauges are process-global, so a test that interns a whole suite on
+//! another thread would change them between two runs that must agree.
 
 use rehearsal::benchmarks::{by_name, METADATA_SUITE, SUITE};
 use rehearsal::fleet::{
@@ -8,7 +12,16 @@ use rehearsal::fleet::{
 };
 use rehearsal::trace::{Session, TraceSnapshot};
 use rehearsal::{Platform, Rehearsal};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Holds every test in this file to one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Runs the full verify pipeline on `source` in a fresh thread with its
 /// own trace session, returning the session's snapshot. The fresh thread
@@ -53,6 +66,7 @@ fn shape(snap: &TraceSnapshot) -> (Vec<SpanShape>, Vec<String>) {
 /// append-only, so after warmup both measured runs see the same world.)
 #[test]
 fn trace_output_is_deterministic_modulo_timestamps() {
+    let _serial = serial();
     let source = by_name("ntp-nondet").expect("bundled benchmark").source;
     let _warmup = verify_traced(source);
     let a = verify_traced(source);
@@ -92,6 +106,7 @@ fn trace_output_is_deterministic_modulo_timestamps() {
 /// The Chrome trace-event export is valid JSON with the documented shape.
 #[test]
 fn chrome_trace_export_shape() {
+    let _serial = serial();
     let source = by_name("ntp").expect("bundled benchmark").source;
     let snap = verify_traced(source);
     let doc = parse_json(&snap.to_chrome_trace()).expect("valid JSON");
@@ -119,6 +134,7 @@ fn chrome_trace_export_shape() {
 /// metadata suite stays 3/3 — observability is read-only.
 #[test]
 fn verdicts_are_identical_under_tracing() {
+    let _serial = serial();
     let session = Session::new();
     let _guard = session.install();
 
@@ -176,6 +192,7 @@ fn verdicts_are_identical_under_tracing() {
 /// `baseline_hits` for the baseline pins.
 #[test]
 fn incremental_metrics_ride_the_fleet_report() {
+    let _serial = serial();
     let trio = "file { '/etc/motd': content => 'a' }\n\
                 file { '/srv/app.conf': content => 'b' }\n\
                 file { '/var/banner': content => 'c' }";
@@ -226,6 +243,7 @@ fn incremental_metrics_ride_the_fleet_report() {
 /// `obs_overhead` bench does that.
 #[test]
 fn disabled_tracing_overhead_is_in_the_noise() {
+    let _serial = serial();
     let source = by_name("ntp").expect("bundled benchmark").source;
     let run = |traced: bool| -> Duration {
         let mut times = Vec::new();
@@ -247,5 +265,42 @@ fn disabled_tracing_overhead_is_in_the_noise() {
         disabled < enabled * 3 + Duration::from_millis(250),
         "disabled tracing should not be slower than enabled \
          (disabled {disabled:?}, enabled {enabled:?})"
+    );
+}
+
+/// `explore` is attributed to its children: `domain` (the bounded domain
+/// and the initial symbolic state), `search` (the explorer, including its
+/// `solve` calls) and `decode` (the counterexample's initial state). On
+/// logstash-nondet, the slowest pinned manifest, they cover at least 90%
+/// of it.
+#[test]
+fn explore_children_cover_the_explore_span() {
+    let _serial = serial();
+    let source = by_name("logstash-nondet")
+        .expect("bundled benchmark")
+        .source;
+    let snap = verify_traced(source);
+    let explores: Vec<_> = snap.spans.iter().filter(|s| s.name == "explore").collect();
+    assert!(!explores.is_empty());
+    let total: u64 = explores.iter().map(|s| s.dur_us).sum();
+    let children: u64 = snap
+        .spans
+        .iter()
+        .filter(|s| explores.iter().any(|e| e.id == s.parent))
+        .inspect(|s| {
+            assert!(
+                ["domain", "search", "decode"].contains(&s.name),
+                "{}",
+                s.name
+            )
+        })
+        .map(|s| s.dur_us)
+        .sum();
+    for name in ["domain", "search", "decode"] {
+        assert!(snap.spans.iter().any(|s| s.name == name), "{name} span");
+    }
+    assert!(
+        children * 10 >= total * 9,
+        "children cover {children} of {total} µs"
     );
 }

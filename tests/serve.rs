@@ -2,13 +2,16 @@
 //! concurrent-request verdict parity with the batch CLI, warm-repeat
 //! memoization, graceful shutdown with a verified history chain,
 //! torn-tail crash recovery, signal-driven shutdown of the `serve`
-//! binary, watch-mode drift detection, and the coverage gate's exit
-//! codes.
+//! binary, watch-mode drift detection, the coverage gate's exit codes,
+//! and memo answers that match the pins and settle like engine runs.
+
+mod support;
 
 use rehearsal::benchmarks::{METADATA_SUITE, SUITE};
 use rehearsal::fleet::{Json, StateDir};
 use rehearsal::serve::http::http_request;
-use rehearsal::serve::{verify_chain, ServeOptions, Server, HISTORY_FILE};
+use rehearsal::serve::http::Request;
+use rehearsal::serve::{verify_chain, ServeOptions, Server, Service, HISTORY_FILE};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -397,4 +400,150 @@ fn offline_gate_pin_drift_repin_cycle() {
         coverage_cmd(&[&[dir_arg.as_str()], &gate[..]].concat()).success(),
         "re-pinned baseline gates clean again"
     );
+}
+
+/// One `/v1/check` through [`Service::handle`], with no transport.
+fn post_check(service: &Service, manifest: &str, source: &str, metadata: bool) -> Json {
+    let body = Json::obj([
+        ("manifest", Json::str(manifest)),
+        ("source", Json::str(source)),
+        ("model_metadata", Json::Bool(metadata)),
+    ]);
+    let response = service.handle(&Request {
+        method: "POST".to_string(),
+        path: "/v1/check".to_string(),
+        body: body.render().into_bytes(),
+    });
+    assert_eq!(response.status, 200, "{}", response.body);
+    rehearsal::fleet::parse_json(&response.body).expect("check response is JSON")
+}
+
+/// Two clients share one service and send repeats, reformats (a comment
+/// plus a re-indent, answered through the AST memo key) and fresh
+/// manifests with renamed literals over all 25 pinned manifests, in
+/// different orders. Every answer equals its pin.
+#[test]
+fn racing_repeats_reformats_and_renames_all_get_their_pinned_verdicts() {
+    let service = std::sync::Arc::new(Service::new(ServeOptions::default()).unwrap());
+    let clients: Vec<_> = (0..2u64)
+        .map(|c| {
+            let service = std::sync::Arc::clone(&service);
+            std::thread::spawn(move || {
+                let manifests = support::pinned();
+                let mut rng = support::Prng::new(40 + c);
+                let mut order: Vec<usize> = (0..manifests.len()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.usize(i + 1));
+                }
+                let (mut memo_hits, mut reformat_hits) = (0, 0);
+                for (n, &i) in order.iter().enumerate() {
+                    let m = manifests[i];
+                    let tag = format!("c{c}-{n}");
+                    let reformatted = support::reindent(
+                        &support::comment_edit(m.source, rng.usize(1000), &tag),
+                        1 + rng.usize(6),
+                    );
+                    let fresh_name = format!("{}--f{tag}", m.name);
+                    let fresh = support::rename_literals(m.source, &format!("-f{tag}"));
+                    let requests = [
+                        ("repeat", m.name, m.source.to_string()),
+                        ("reformat", m.name, reformatted),
+                        ("repeat", m.name, m.source.to_string()),
+                        ("fresh", fresh_name.as_str(), fresh),
+                    ];
+                    for (kind, name, source) in requests {
+                        let doc = post_check(&service, name, &source, m.metadata);
+                        assert_eq!(
+                            doc.get("verdict").and_then(Json::as_str),
+                            Some(m.verdict),
+                            "client {c}: {kind} of {name}"
+                        );
+                        let hit = field(&doc, &["serve", "cache_hit"]).as_bool();
+                        memo_hits += usize::from(hit == Some(true));
+                        reformat_hits += usize::from(kind == "reformat" && hit == Some(true));
+                    }
+                }
+                (memo_hits, reformat_hits)
+            })
+        })
+        .collect();
+    for client in clients {
+        let (memo_hits, reformat_hits) = client.join().unwrap();
+        // The second repeat of every manifest is a memo hit, and so is
+        // every reformat.
+        assert!(memo_hits >= 50, "{memo_hits} memo hits");
+        assert_eq!(reformat_hits, 25);
+    }
+}
+
+/// A memo hit is settled like an engine run: its drift is computed
+/// against the pin, it updates the coverage rollup, and it leaves a
+/// `check` history record. Sequence: the original, a racing edit, the
+/// racing edit again (a raw-key memo hit) and the original reformatted
+/// (an AST-key memo hit).
+#[test]
+fn a_memo_hit_settles_drift_coverage_and_history() {
+    let dir = temp_dir("memo-settle");
+    let service = Service::new(ServeOptions {
+        state_dir: Some(dir.clone()),
+        ..ServeOptions::default()
+    })
+    .unwrap();
+    let reformatted = "# reformatted\nfile { '/a':\n    content => 'x',\n}\n";
+    let steps = [
+        (DET, "deterministic", false, false),
+        (NONDET, "nondeterministic", false, true),
+        (NONDET, "nondeterministic", true, true),
+        (reformatted, "deterministic", true, false),
+    ];
+    for (i, (source, verdict, hit, drift)) in steps.into_iter().enumerate() {
+        let doc = post_check(&service, "s.pp", source, false);
+        assert_eq!(
+            doc.get("verdict").and_then(Json::as_str),
+            Some(verdict),
+            "step {i}"
+        );
+        assert_eq!(
+            field(&doc, &["serve", "cache_hit"]).as_bool(),
+            Some(hit),
+            "step {i}"
+        );
+        assert_eq!(
+            field(&doc, &["serve", "drift"]).as_bool(),
+            Some(drift),
+            "step {i}"
+        );
+        let coverage = service.coverage_doc();
+        let row = &field(&coverage, &["rows"]).as_arr().unwrap()[0];
+        assert_eq!(
+            row.get("verdict").and_then(Json::as_str),
+            Some(verdict),
+            "step {i}"
+        );
+        assert_eq!(
+            row.get("drift").and_then(Json::as_bool),
+            Some(drift),
+            "step {i}"
+        );
+        assert_eq!(
+            coverage.get("drifted").and_then(Json::as_u64),
+            Some(u64::from(drift)),
+            "step {i}"
+        );
+    }
+    let history = std::fs::read_to_string(dir.join(HISTORY_FILE)).unwrap();
+    let events: Vec<String> = history
+        .lines()
+        .map(|line| {
+            let record = rehearsal::fleet::parse_json(line).unwrap();
+            record
+                .get("event")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    let count = |event: &str| events.iter().filter(|e| *e == event).count();
+    assert_eq!(count("check"), 4, "{events:?}");
+    assert_eq!(count("drift"), 2, "{events:?}");
 }
