@@ -104,22 +104,29 @@ pub fn check_idempotence(
 ) -> Result<IdempotenceReport, AnalysisAborted> {
     let _span = rehearsal_trace::span_cat("idempotence", "core");
     let deadline = deadline(options);
-    let parts = components(graph);
+    let seq = |ids: &[usize]| Expr::seq_all(ids.iter().map(|&i| graph.exprs[i]));
+    let parts: Vec<Expr> = {
+        let _span = rehearsal_trace::span_cat("components", "core");
+        components(graph).iter().map(|part| seq(part)).collect()
+    };
     rehearsal_trace::counter_add("idempotence.components", parts.len() as u64);
     // Published at 0 too, so every check's metrics carry these counters.
     rehearsal_trace::counter_add("idempotence.fallbacks", 0);
     rehearsal_trace::counter_add("idempotence.certified", 0);
-    let seq = |ids: &[usize]| Expr::seq_all(ids.iter().map(|&i| graph.exprs[i]));
-    if parts.len() > 1 {
-        for part in &parts {
-            if !idempotence_query(seq(part), deadline, options)?.is_idempotent() {
-                rehearsal_trace::counter_add("idempotence.fallbacks", 1);
-                return idempotence_query(seq(&graph.topological_order()), deadline, options);
+    match parts[..] {
+        // One component is the whole manifest in topological order.
+        [whole] => idempotence_query(whole, deadline, options),
+        [] => idempotence_query(Expr::SKIP, deadline, options),
+        _ => {
+            for &part in &parts {
+                if !idempotence_query(part, deadline, options)?.is_idempotent() {
+                    rehearsal_trace::counter_add("idempotence.fallbacks", 1);
+                    return idempotence_query(seq(&graph.topological_order()), deadline, options);
+                }
             }
+            Ok(IdempotenceReport::Idempotent)
         }
-        return Ok(IdempotenceReport::Idempotent);
     }
-    idempotence_query(seq(&graph.topological_order()), deadline, options)
 }
 
 /// The footprint-independent components of `graph`: resources linked,

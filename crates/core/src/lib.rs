@@ -65,7 +65,8 @@ pub use idempotence::{
 };
 pub use invariants::{check_expr_invariant, check_invariant, Invariant, InvariantReport};
 pub use pipeline::{
-    printed_ast, Rehearsal, RehearsalError, RehearsalErrorKind, SourceAnalysis, VerificationReport,
+    analyze, printed_ast, Rehearsal, RehearsalError, RehearsalErrorKind, SourceAnalysis,
+    VerificationReport,
 };
 pub use repair::{suggest_repair, RepairReport};
 pub use report::{

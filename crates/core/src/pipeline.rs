@@ -15,6 +15,7 @@ use rehearsal_puppet::{
 };
 use rehearsal_resources::{compile, CompileCtx, CompileError};
 use std::fmt;
+use std::time::Instant;
 
 /// The source's AST printed back to text, or `None` when it does not
 /// parse: the source with its comments and layout normalized away.
@@ -81,6 +82,12 @@ impl RehearsalError {
         self.diagnostics
     }
 
+    /// The message without its stage prefix: for an aborted analysis, the
+    /// bare reason (`timeout during …`); otherwise what `Display` prints.
+    pub fn reason(&self) -> &str {
+        &self.message
+    }
+
     /// The principal finding's stable code (e.g. `R0001`).
     pub fn code(&self) -> &str {
         self.diagnostics
@@ -92,7 +99,13 @@ impl RehearsalError {
 
 impl fmt::Display for RehearsalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.message)
+        match self.kind {
+            RehearsalErrorKind::Aborted => AnalysisAborted {
+                reason: self.message.clone(),
+            }
+            .fmt(f),
+            _ => f.write_str(&self.message),
+        }
     }
 }
 
@@ -137,7 +150,7 @@ impl From<CompileError> for RehearsalError {
 impl From<AnalysisAborted> for RehearsalError {
     fn from(e: AnalysisAborted) -> Self {
         let d = aborted_diagnostic(&e);
-        RehearsalError::new(RehearsalErrorKind::Aborted, e.to_string(), vec![d])
+        RehearsalError::new(RehearsalErrorKind::Aborted, e.reason, vec![d])
     }
 }
 
@@ -383,34 +396,25 @@ impl Rehearsal {
         Ok(check_invariant(&graph, invariant, &self.options)?)
     }
 
-    /// The full verification: determinism, then (if deterministic)
-    /// idempotence.
+    /// The full verification: lowering, then [`analyze`].
     ///
     /// # Errors
     ///
     /// Pipeline errors or [`AnalysisAborted`].
     pub fn verify(&self, source: &str) -> Result<VerificationReport, RehearsalError> {
         let graph = self.lower(source)?;
-        let determinism = check_determinism(&graph, &self.options)?;
-        let idempotence = if determinism.is_deterministic() {
-            Some(check_idempotence(&graph, &self.options)?)
-        } else {
-            None
-        };
-        Ok(VerificationReport {
-            determinism,
-            idempotence,
-        })
+        Ok(analyze(&graph, &self.options, &mut Vec::new())?)
     }
 
     /// The unified-diagnostics entry point: verifies a named manifest and
-    /// returns everything as one [`SourceAnalysis`] — the verdict (when
-    /// the pipeline got that far), the lowered graph, every [`Diagnostic`]
-    /// (errors, analysis findings like the `R3001` race report, and
-    /// modeling warnings), and a [`SourceMap`] ready to render snippets.
+    /// returns everything as one [`SourceAnalysis`] — the verdict (or the
+    /// error that stopped the pipeline), the lowered graph, every
+    /// [`Diagnostic`] (errors, analysis findings like the `R3001` race
+    /// report, and modeling warnings), and a [`SourceMap`] ready to
+    /// render snippets.
     ///
     /// Unlike [`Rehearsal::verify`], this never returns `Err`: failures
-    /// become error diagnostics with `report: None`.
+    /// become error diagnostics and an `Err` report.
     ///
     /// # Examples
     ///
@@ -433,57 +437,20 @@ impl Rehearsal {
     /// ```
     pub fn verify_source(&self, name: &str, source: &str) -> SourceAnalysis {
         let source_map = SourceMap::single(name, source);
-        let mut diagnostics = Vec::new();
-        let (graph, warnings) = match self.lower_source(source) {
+        let (graph, mut diagnostics) = match self.lower_source(source) {
             Ok(ok) => ok,
             Err(e) => {
-                diagnostics.extend(e.into_diagnostics());
                 return SourceAnalysis {
-                    report: None,
+                    diagnostics: e.diagnostics().to_vec(),
+                    report: Err(e),
                     graph: None,
-                    diagnostics,
                     source_map,
-                };
-            }
-        };
-        diagnostics.extend(warnings);
-        let determinism = match check_determinism(&graph, &self.options) {
-            Ok(report) => report,
-            Err(aborted) => {
-                diagnostics.push(crate::report::aborted_diagnostic(&aborted));
-                return SourceAnalysis {
-                    report: None,
-                    graph: Some(graph),
-                    diagnostics,
-                    source_map,
-                };
-            }
-        };
-        diagnostics.extend(determinism_diagnostics(&determinism, &graph));
-        let idempotence = if determinism.is_deterministic() {
-            match check_idempotence(&graph, &self.options) {
-                Ok(report) => {
-                    diagnostics.extend(idempotence_diagnostics(&report, &graph));
-                    Some(report)
-                }
-                Err(aborted) => {
-                    diagnostics.push(crate::report::aborted_diagnostic(&aborted));
-                    return SourceAnalysis {
-                        report: None,
-                        graph: Some(graph),
-                        diagnostics,
-                        source_map,
-                    };
                 }
             }
-        } else {
-            None
         };
+        let report = analyze(&graph, &self.options, &mut diagnostics).map_err(RehearsalError::from);
         SourceAnalysis {
-            report: Some(VerificationReport {
-                determinism,
-                idempotence,
-            }),
+            report,
             graph: Some(graph),
             diagnostics,
             source_map,
@@ -491,12 +458,49 @@ impl Rehearsal {
     }
 }
 
+/// The verdict ladder of paper §5, shared by every entry point (`check`,
+/// fleet, the daemon): determinism first, then idempotence, only when the
+/// graph is deterministic and only under the part of `options.timeout`
+/// that determinism left. Each finding is appended to `diagnostics`: the
+/// `R3001` race, the `R3002` culprit, or the `R3003` abort.
+///
+/// # Errors
+///
+/// [`AnalysisAborted`] when either stage runs out of time or is
+/// cancelled; its `R3003` diagnostic is already in `diagnostics`.
+pub fn analyze(
+    graph: &FsGraph,
+    options: &AnalysisOptions,
+    diagnostics: &mut Vec<Diagnostic>,
+) -> Result<VerificationReport, AnalysisAborted> {
+    let started = Instant::now();
+    let ladder = |diagnostics: &mut Vec<Diagnostic>| {
+        let determinism = check_determinism(graph, options)?;
+        diagnostics.extend(determinism_diagnostics(&determinism, graph));
+        let idempotence = if determinism.is_deterministic() {
+            let mut rest = options.clone();
+            rest.timeout = options.timeout.map(|t| t.saturating_sub(started.elapsed()));
+            let report = check_idempotence(graph, &rest)?;
+            diagnostics.extend(idempotence_diagnostics(&report, graph));
+            Some(report)
+        } else {
+            None
+        };
+        Ok(VerificationReport {
+            determinism,
+            idempotence,
+        })
+    };
+    ladder(diagnostics).inspect_err(|aborted| diagnostics.push(aborted_diagnostic(aborted)))
+}
+
 /// Everything [`Rehearsal::verify_source`] learned about one manifest.
 #[derive(Debug)]
 pub struct SourceAnalysis {
-    /// The verdict, when the pipeline reached the analyses (`None` on
-    /// frontend/compile errors or an aborted analysis).
-    pub report: Option<VerificationReport>,
+    /// The verdict, or the error that stopped the pipeline: a frontend
+    /// or compile error, or an aborted analysis
+    /// ([`RehearsalErrorKind::Aborted`]).
+    pub report: Result<VerificationReport, RehearsalError>,
     /// The lowered graph, when lowering succeeded.
     pub graph: Option<FsGraph>,
     /// Every finding, most severe first within each stage: pipeline
@@ -512,8 +516,7 @@ impl SourceAnalysis {
     pub fn is_correct(&self) -> bool {
         self.report
             .as_ref()
-            .map(VerificationReport::is_correct)
-            .unwrap_or(false)
+            .is_ok_and(VerificationReport::is_correct)
     }
 
     /// Findings at [`rehearsal_diag::Severity::Error`].
@@ -701,7 +704,7 @@ mod tests {
     #[test]
     fn verify_source_turns_errors_into_diagnostics() {
         let a = tool().verify_source("bad.pp", "package { 'x' oops }");
-        assert!(a.report.is_none());
+        assert!(a.report.is_err());
         assert_eq!(a.diagnostics[0].code, "R0001");
         assert!(a.errors().count() >= 1);
         let rendered = a.source_map.render(&a.diagnostics[0]);
@@ -733,6 +736,71 @@ mod tests {
             .find(|d| d.code == "R1101")
             .expect("latest warning");
         assert!(warn.has_resolvable_span());
+    }
+
+    #[test]
+    fn idempotence_gets_only_the_budget_determinism_left() {
+        // Four unordered files explored without reductions make the
+        // determinism stage slow; four directories of twenty files with a
+        // managed mode make idempotence need SAT (the certificate abstains
+        // on metadata), one query per directory.
+        let mut src = String::new();
+        let mut chain = Vec::new();
+        for d in 0..4 {
+            src += &format!("file {{ '/d{d}': ensure => directory }}\n");
+            chain.push(format!("File['/d{d}']"));
+            for f in 0..20 {
+                src += &format!("file {{ '/d{d}/f{f}': content => 'x', mode => '0644' }}\n");
+                chain.push(format!("File['/d{d}/f{f}']"));
+            }
+        }
+        src += &format!("{}\n", chain.join(" -> "));
+        for a in 0..4 {
+            src += &format!("file {{ '/a{a}': content => 'x' }}\n");
+            src += &format!("{} -> File['/a{a}']\n", chain[chain.len() - 1]);
+        }
+        let mut options = AnalysisOptions::naive();
+        options.state_cache = false;
+        options.model_metadata = true;
+        let graph = tool().with_options(options.clone()).lower(&src).unwrap();
+        let time = |f: &dyn Fn()| {
+            (0..2)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    f();
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let determinism = time(&|| {
+            assert!(check_determinism(&graph, &options)
+                .unwrap()
+                .is_deterministic())
+        });
+        let idempotence =
+            time(&|| assert!(check_idempotence(&graph, &options).unwrap().is_idempotent()));
+
+        // Midway between idempotence alone and both stages together, so
+        // either side has a margin of half the determinism time against
+        // timing noise: a fresh budget for idempotence lets it finish, one
+        // budget for both stages cannot.
+        let budget = idempotence + determinism / 2;
+        let tool = tool().with_options(options.with_timeout(budget));
+        let started = std::time::Instant::now();
+        let a = tool.verify_source("budget.pp", &src);
+        let elapsed = started.elapsed();
+        assert!(
+            a.diagnostics.iter().any(|d| d.code == "R3003"),
+            "budget {budget:?} (determinism {determinism:?}, idempotence {idempotence:?}) must abort"
+        );
+        // Only the query in flight may overrun; the slack absorbs it and
+        // scheduling noise on a loaded machine.
+        let slack = std::time::Duration::from_millis(250);
+        assert!(
+            elapsed < budget + slack,
+            "took {elapsed:?}, budget {budget:?}"
+        );
     }
 
     #[test]

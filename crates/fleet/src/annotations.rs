@@ -83,7 +83,7 @@ pub fn github_annotations(report: &FleetReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{AnalysisCounters, Verdict};
+    use crate::report::Verdict;
     use rehearsal_diag::{Pos, Span};
     use rehearsal_pkgdb::Platform;
 
@@ -108,7 +108,7 @@ mod tests {
             run_ms: 1,
             phases: Vec::new(),
             cached: false,
-            counters: AnalysisCounters::default(),
+            counters: rehearsal_core::DeterminismStats::default(),
             diagnostics,
             reuse: None,
             store_key: None,

@@ -15,12 +15,12 @@ use crate::baseline::{BaselineEntry, BaselineStore};
 use crate::cache::{
     graph_key, job_key, options_fingerprint, CachedVerdict, StoreKey, VerdictCache,
 };
-use crate::report::{AnalysisCounters, FleetReport, JobResult, ReuseCounts, Verdict};
+use crate::report::{FleetReport, JobResult, ReuseCounts, Verdict};
 use crate::scheduler::run_work_stealing_with_stats;
 use crate::state::StateDir;
 use rehearsal_core::{
-    aborted_diagnostic, check_determinism, check_idempotence, graph_digest,
-    idempotence_diagnostics, race_diagnostic, AnalysisOptions, CancelToken, FsGraph, Rehearsal,
+    analyze, graph_digest, AnalysisOptions, CancelToken, DeterminismStats, FsGraph, Rehearsal,
+    RehearsalError,
 };
 use rehearsal_diag::Diagnostic;
 use rehearsal_pkgdb::Platform;
@@ -193,6 +193,12 @@ impl FleetEngine {
         let start = Instant::now();
         let analysis = self.options.analysis.clone();
         let cancel = self.options.cancel.clone();
+        // The options lowering and analysis run under: `analysis` plus the
+        // run's cancellation token (keys are built from `analysis` alone).
+        let mut options = analysis.clone();
+        if let Some(token) = &cancel {
+            options = options.with_cancel(token.clone());
+        }
         let trace_jobs = rehearsal_trace::current().is_some();
 
         // Lower every readable job serially (0.1–2 ms each) so cache
@@ -210,18 +216,14 @@ impl FleetEngine {
         for (i, job) in jobs.into_iter().enumerate() {
             let job = match job {
                 Err((name, platform, msg)) => {
-                    rows.push(Some(error_row(name, platform, msg, Vec::new())));
+                    rows.push(Some(error_row(name, platform, msg)));
                     continue;
                 }
                 Ok(job) => job,
             };
             if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                let mut row = error_row(
-                    job.name,
-                    job.platform,
-                    "cancelled before start".to_string(),
-                    Vec::new(),
-                );
+                let mut row =
+                    error_row(job.name, job.platform, "cancelled before start".to_string());
                 row.verdict = Verdict::Timeout;
                 rows.push(Some(row));
                 continue;
@@ -252,13 +254,9 @@ impl FleetEngine {
                 continue;
             }
             let lower_start = Instant::now();
-            let mut lower_opts = analysis.clone();
-            if let Some(token) = &cancel {
-                lower_opts = lower_opts.with_cancel(token.clone());
-            }
             let (lowered, lower_phases, lower_metrics) = traced(trace_jobs, || {
                 Rehearsal::new(job.platform)
-                    .with_options(lower_opts)
+                    .with_options(options.clone())
                     .lower_source(&job.source)
             });
             let lower_ms = lower_start.elapsed().as_millis() as u64;
@@ -266,8 +264,9 @@ impl FleetEngine {
             let (graph, diagnostics) = match lowered {
                 Ok(ok) => ok,
                 Err(e) => {
+                    let diagnostics = e.diagnostics().to_vec();
                     let mut row =
-                        error_row(job.name, job.platform, e.to_string(), e.into_diagnostics());
+                        JobResult::from_analysis(job.name, job.platform, 0, &Err(e), diagnostics);
                     row.millis = lower_ms;
                     row.run_ms = lower_ms;
                     row.phases = lower_phases;
@@ -317,7 +316,7 @@ impl FleetEngine {
                     run_ms: 0,
                     phases: lower_phases,
                     cached: true,
-                    counters: AnalysisCounters::default(),
+                    counters: DeterminismStats::default(),
                     diagnostics: entry.diagnostics.clone(),
                     reuse: Some(ReuseCounts::store(n)),
                     store_key: Some(StoreKey::Graph(key)),
@@ -366,7 +365,7 @@ impl FleetEngine {
                 name,
                 platform,
                 graph,
-                diagnostics,
+                mut diagnostics,
                 graph_digest,
                 options_fp,
                 lower_phases,
@@ -374,38 +373,24 @@ impl FleetEngine {
             } = pj;
             let queue_ms = enqueued.elapsed().as_millis() as u64;
             let job_start = Instant::now();
-            let (outcome, phases, metrics) = traced(trace_jobs, || {
-                analyze_lowered(&graph, diagnostics, &analysis, cancel.as_ref())
+            let (report, phases, metrics) = traced(trace_jobs, || {
+                analyze(&graph, &options, &mut diagnostics).map_err(RehearsalError::from)
             });
             let run_ms = job_start.elapsed().as_millis() as u64;
-            let mut all_phases = lower_phases;
-            all_phases.extend(phases);
-            let reuse = record.then(|| ReuseCounts::cold(graph.exprs.len()));
+            let mut row =
+                JobResult::from_analysis(name, platform, graph.exprs.len(), &report, diagnostics);
+            row.millis = run_ms;
+            row.queue_ms = queue_ms;
+            row.run_ms = run_ms;
+            row.phases = lower_phases;
+            row.phases.extend(phases);
+            row.reuse = record.then(|| ReuseCounts::cold(graph.exprs.len()));
+            row.store_key = Some(StoreKey::Graph(key));
             // Timeouts are not pinned: a later healthy run must not
             // replay an aborted verdict.
-            let pin_as = (record && !matches!(outcome.verdict, Verdict::Timeout))
-                .then_some((options_fp, graph_digest));
-            (
-                key,
-                JobResult {
-                    manifest: name,
-                    platform,
-                    verdict: outcome.verdict,
-                    detail: outcome.detail,
-                    resources: outcome.resources,
-                    millis: run_ms,
-                    queue_ms,
-                    run_ms,
-                    phases: all_phases,
-                    cached: false,
-                    counters: outcome.counters,
-                    diagnostics: outcome.diagnostics,
-                    reuse,
-                    store_key: Some(StoreKey::Graph(key)),
-                },
-                metrics,
-                pin_as,
-            )
+            let pin_as =
+                (record && row.verdict != Verdict::Timeout).then_some((options_fp, graph_digest));
+            (key, row, metrics, pin_as)
         });
 
         let mut metrics = serial_metrics;
@@ -504,12 +489,7 @@ fn traced<R>(
     }
 }
 
-fn error_row(
-    manifest: String,
-    platform: Platform,
-    detail: String,
-    diagnostics: Vec<Diagnostic>,
-) -> JobResult {
+fn error_row(manifest: String, platform: Platform, detail: String) -> JobResult {
     JobResult {
         manifest,
         platform,
@@ -521,8 +501,8 @@ fn error_row(
         run_ms: 0,
         phases: Vec::new(),
         cached: false,
-        counters: AnalysisCounters::default(),
-        diagnostics,
+        counters: DeterminismStats::default(),
+        diagnostics: Vec::new(),
         reuse: None,
         store_key: None,
     }
@@ -552,7 +532,7 @@ fn cached_row(
         run_ms: 0,
         phases: Vec::new(),
         cached: true,
-        counters: AnalysisCounters::default(),
+        counters: DeterminismStats::default(),
         diagnostics: hit.diagnostics.clone(),
         reuse,
         store_key: Some(key),
@@ -598,116 +578,6 @@ fn pin(
         verdict: verdict.verdict.clone(),
         detail: verdict.detail.clone(),
         diagnostics: verdict.diagnostics.clone(),
-    }
-}
-
-/// What one job's analysis produced.
-struct AnalyzeOutcome {
-    verdict: Verdict,
-    detail: String,
-    resources: usize,
-    counters: AnalysisCounters,
-    /// Source-anchored findings (race reports, pipeline errors, modeling
-    /// warnings) — the machine-readable stream behind `--annotations`.
-    diagnostics: Vec<Diagnostic>,
-}
-
-impl AnalyzeOutcome {
-    fn new(verdict: Verdict, detail: impl Into<String>) -> AnalyzeOutcome {
-        AnalyzeOutcome {
-            verdict,
-            detail: detail.into(),
-            resources: 0,
-            counters: AnalysisCounters::default(),
-            diagnostics: Vec::new(),
-        }
-    }
-}
-
-/// Runs the determinism + idempotence pipeline on an already-lowered
-/// graph.
-fn analyze_lowered(
-    graph: &FsGraph,
-    mut diagnostics: Vec<Diagnostic>,
-    analysis: &AnalysisOptions,
-    cancel: Option<&CancelToken>,
-) -> AnalyzeOutcome {
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return AnalyzeOutcome::new(Verdict::Timeout, "cancelled before start");
-    }
-    let mut options = analysis.clone();
-    if let Some(token) = cancel {
-        options = options.with_cancel(token.clone());
-    }
-    let started = Instant::now();
-    let resources = graph.exprs.len();
-
-    let determinism = match check_determinism(graph, &options) {
-        Ok(report) => report,
-        Err(aborted) => {
-            let mut out = AnalyzeOutcome::new(Verdict::Timeout, aborted.reason.clone());
-            out.resources = resources;
-            out.diagnostics = vec![aborted_diagnostic(&aborted)];
-            return out;
-        }
-    };
-    let counters = AnalysisCounters::from(&determinism.stats());
-    if let rehearsal_core::DeterminismReport::NonDeterministic(cex, _) = &determinism {
-        let detail = format!(
-            "order A {}, order B {}",
-            outcome_word(cex.outcome_a.is_ok()),
-            outcome_word(cex.outcome_b.is_ok()),
-        );
-        diagnostics.push(race_diagnostic(cex, graph));
-        return AnalyzeOutcome {
-            verdict: Verdict::Nondeterministic,
-            detail,
-            resources,
-            counters,
-            diagnostics,
-        };
-    }
-
-    // The idempotence stage runs under whatever deadline remains.
-    if let Some(total) = options.timeout {
-        options.timeout = Some(total.saturating_sub(started.elapsed()));
-    }
-    match check_idempotence(graph, &options) {
-        Ok(report) if report.is_idempotent() => AnalyzeOutcome {
-            verdict: Verdict::Deterministic,
-            detail: String::new(),
-            resources,
-            counters,
-            diagnostics,
-        },
-        Ok(report) => {
-            diagnostics.extend(idempotence_diagnostics(&report, graph));
-            AnalyzeOutcome {
-                verdict: Verdict::Nonidempotent,
-                detail: "applying twice differs from applying once".to_string(),
-                resources,
-                counters,
-                diagnostics,
-            }
-        }
-        Err(aborted) => {
-            diagnostics.push(aborted_diagnostic(&aborted));
-            AnalyzeOutcome {
-                verdict: Verdict::Timeout,
-                detail: aborted.reason,
-                resources,
-                counters,
-                diagnostics,
-            }
-        }
-    }
-}
-
-fn outcome_word(ok: bool) -> &'static str {
-    if ok {
-        "succeeds"
-    } else {
-        "errors"
     }
 }
 

@@ -1,9 +1,11 @@
 //! A minimal JSON value model with a serializer and parser.
 //!
-//! The fleet report, the verdict cache, and the CLI's `--json` modes all
-//! need machine-readable output, and the build environment is offline, so
-//! this module stands in for `serde_json`. Objects preserve insertion
-//! order, which keeps rendered reports stable across runs.
+//! The fleet report, the verdict cache, the `rehearsal-check/5` document
+//! (`check --json` and the daemon's `/v1/check`) and the CLI's other
+//! `--json` modes all need machine-readable output, and the build
+//! environment is offline, so this module stands in for `serde_json`.
+//! Objects preserve insertion order, which keeps rendered reports stable
+//! across runs.
 
 use std::fmt;
 
@@ -237,8 +239,8 @@ fn label_from_json(j: &Json) -> Option<Label> {
 }
 
 /// Serializes one [`Diagnostic`] into the stable JSON encoding used by
-/// `check --json` (schema `rehearsal-check/5`), fleet report rows, the
-/// verdict cache, and `--error-format json`:
+/// the `rehearsal-check/5` document (`check --json` and `/v1/check`),
+/// fleet report rows, the verdict cache, and `--error-format json`:
 ///
 /// ```json
 /// {"severity": "error", "code": "R3001", "message": "…",

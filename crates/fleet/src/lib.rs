@@ -61,8 +61,7 @@ pub use discover::{discover_manifests, read_manifest_list};
 pub use engine::{stored_row, verify_directory, FleetEngine, FleetJob, FleetOptions};
 pub use json::{diagnostic_from_json, diagnostic_json, parse as parse_json, Json, JsonError};
 pub use report::{
-    check_document, check_document_from_row, metrics_json, AnalysisCounters, FleetCounts,
-    FleetReport, JobResult, ReuseCounts, Verdict,
+    check_document, metrics_json, FleetCounts, FleetReport, JobResult, ReuseCounts, Verdict,
 };
 pub use scheduler::{run_work_stealing, run_work_stealing_with_stats, SchedulerStats};
 pub use state::{StateDir, STATE_BASELINE_FILE, STATE_CACHE_FILE};

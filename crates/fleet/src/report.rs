@@ -3,6 +3,8 @@
 
 use crate::cache::StoreKey;
 use crate::json::{diagnostic_json, Json};
+use rehearsal_core::{DeterminismReport, DeterminismStats, RehearsalError, RehearsalErrorKind};
+use rehearsal_core::{IdempotenceReport, VerificationReport};
 use rehearsal_diag::Diagnostic;
 use rehearsal_pkgdb::Platform;
 
@@ -51,63 +53,6 @@ impl Verdict {
     }
 }
 
-/// Explorer/solver work counters for one analyzed job (all zero for cache
-/// hits and pre-verdict errors — no analysis ran).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalysisCounters {
-    /// Sequences the determinacy explorer covered (including state-cache
-    /// skips).
-    pub sequences_explored: usize,
-    /// Of those, sequences covered via explorer state-cache hits.
-    pub sequences_skipped: usize,
-    /// CDCL conflicts in the incremental solver.
-    pub solver_conflicts: u64,
-    /// Literals propagated by the incremental solver.
-    pub solver_propagations: u64,
-    /// Formula nodes grounded to CNF (each exactly once).
-    pub grounded_nodes: u64,
-    /// Grounding requests answered by an already-grounded node.
-    pub grounded_reused: u64,
-    /// Metadata operations (`chown`/`chgrp`/`chmod`) in the analyzed
-    /// programs (zero when the metadata model is off).
-    pub meta_ops: usize,
-    /// Paths whose metadata the encoding tracked.
-    pub meta_tracked_paths: usize,
-}
-
-impl AnalysisCounters {
-    /// Fraction of grounding requests served by reuse (delegates to the
-    /// solver-layer [`rehearsal_solver::GroundingStats`], the single
-    /// definition of the ratio).
-    pub fn grounding_reuse_ratio(&self) -> f64 {
-        rehearsal_solver::GroundingStats {
-            grounded_nodes: self.grounded_nodes,
-            reused_nodes: self.grounded_reused,
-            grounded_clauses: 0,
-        }
-        .reuse_ratio()
-    }
-}
-
-impl From<&rehearsal_core::DeterminismStats> for AnalysisCounters {
-    /// The fleet-report subset of a determinism check's statistics. Kept
-    /// as a `From` impl (rather than field-by-field copies at call sites)
-    /// so a counter rename or semantic change fails to compile here
-    /// instead of silently dropping out of the report.
-    fn from(stats: &rehearsal_core::DeterminismStats) -> AnalysisCounters {
-        AnalysisCounters {
-            sequences_explored: stats.sequences_explored,
-            sequences_skipped: stats.sequences_skipped,
-            solver_conflicts: stats.solver_conflicts,
-            solver_propagations: stats.solver_propagations,
-            grounded_nodes: stats.grounded_nodes,
-            grounded_reused: stats.grounded_reused,
-            meta_ops: stats.meta_ops,
-            meta_tracked_paths: stats.meta_tracked_paths,
-        }
-    }
-}
-
 /// The outcome of one job.
 #[derive(Debug, Clone)]
 pub struct JobResult {
@@ -139,8 +84,9 @@ pub struct JobResult {
     pub phases: Vec<(String, u64)>,
     /// Whether the verdict came from the cache without re-analysis.
     pub cached: bool,
-    /// Explorer/solver work done for this job.
-    pub counters: AnalysisCounters,
+    /// The determinism check's statistics for this job (all zero for
+    /// cache hits, pre-verdict errors and aborted analyses).
+    pub counters: DeterminismStats,
     /// The job's source-anchored findings (the race report, pipeline
     /// errors, modeling warnings); empty for clean manifests. Cache hits
     /// restore the diagnostics recorded at analysis time.
@@ -153,6 +99,67 @@ pub struct JobResult {
     /// cancelled before they started). Timeout rows carry their key but
     /// are never written under it.
     pub store_key: Option<StoreKey>,
+}
+
+impl JobResult {
+    /// The row for one manifest's run through lowering and
+    /// [`rehearsal_core::analyze`]: `report` is the verdict or the error
+    /// that stopped the pipeline, `resources` the lowered graph's size (0
+    /// when lowering failed) and `diagnostics` every finding. Timings,
+    /// phases and store accounting start empty; the engine fills them in.
+    pub fn from_analysis(
+        manifest: String,
+        platform: Platform,
+        resources: usize,
+        report: &Result<VerificationReport, RehearsalError>,
+        diagnostics: Vec<Diagnostic>,
+    ) -> JobResult {
+        let word = |ok: bool| if ok { "succeeds" } else { "errors" };
+        let (verdict, detail) = match report {
+            Ok(VerificationReport {
+                determinism: DeterminismReport::NonDeterministic(cex, _),
+                ..
+            }) => (
+                Verdict::Nondeterministic,
+                format!(
+                    "order A {}, order B {}",
+                    word(cex.outcome_a.is_ok()),
+                    word(cex.outcome_b.is_ok())
+                ),
+            ),
+            Ok(VerificationReport {
+                idempotence: Some(IdempotenceReport::NotIdempotent(_)),
+                ..
+            }) => (
+                Verdict::Nonidempotent,
+                "applying twice differs from applying once".to_string(),
+            ),
+            Ok(_) => (Verdict::Deterministic, String::new()),
+            Err(e) if e.kind() == RehearsalErrorKind::Aborted => {
+                (Verdict::Timeout, e.reason().to_string())
+            }
+            Err(e) => (Verdict::Error, e.to_string()),
+        };
+        JobResult {
+            manifest,
+            platform,
+            verdict,
+            detail,
+            resources,
+            millis: 0,
+            queue_ms: 0,
+            run_ms: 0,
+            phases: Vec::new(),
+            cached: false,
+            counters: report
+                .as_ref()
+                .map(|r| r.determinism.stats())
+                .unwrap_or_default(),
+            diagnostics,
+            reuse: None,
+            store_key: None,
+        }
+    }
 }
 
 /// Whether a row's verdict came from a store (the semantic verdict cache
@@ -390,127 +397,15 @@ pub fn metrics_json(m: &rehearsal_trace::MetricsSnapshot) -> Json {
     ])
 }
 
-/// The `check --json` document (schema `rehearsal-check/5`), shared by
-/// the CLI and the daemon so the two can never drift apart field by
-/// field. `report` is `None` when the pipeline failed before a verdict;
-/// the error then lives in `diagnostics`. `obs` is the run's trace
-/// snapshot, feeding the `phases` and `metrics` objects.
+/// The `rehearsal-check/5` document for one row: what `check --json`
+/// prints and what the daemon's `/v1/check` returns, so the two agree
+/// field by field. `metrics` is the run's trace registry (`null` when no
+/// engine or trace session ran, as on a cache hit).
 pub fn check_document(
-    manifest: &str,
-    platform: Platform,
-    model_metadata: bool,
-    report: Option<&rehearsal_core::DeterminismReport>,
-    idempotence: Option<&rehearsal_core::IdempotenceReport>,
-    diagnostics: &[Diagnostic],
-    obs: Option<&rehearsal_trace::TraceSnapshot>,
-) -> Json {
-    let stats = report.map(|r| r.stats()).unwrap_or_default();
-    let verdict = match report {
-        None => "error",
-        Some(r) if !r.is_deterministic() => "nondeterministic",
-        Some(_) if idempotence.is_some_and(|i| !i.is_idempotent()) => "nonidempotent",
-        Some(_) => "deterministic",
-    };
-    let phases = obs
-        .map(rehearsal_trace::TraceSnapshot::phase_totals)
-        .unwrap_or_default();
-    Json::obj([
-        ("schema", Json::str("rehearsal-check/5")),
-        ("manifest", Json::str(manifest)),
-        ("platform", Json::str(platform.to_string())),
-        ("model_metadata", Json::Bool(model_metadata)),
-        ("verdict", Json::str(verdict)),
-        (
-            "deterministic",
-            match report {
-                Some(r) => Json::Bool(r.is_deterministic()),
-                None => Json::Null,
-            },
-        ),
-        (
-            "idempotent",
-            match idempotence {
-                Some(i) => Json::Bool(i.is_idempotent()),
-                None => Json::Null,
-            },
-        ),
-        (
-            "diagnostics",
-            Json::Arr(diagnostics.iter().map(diagnostic_json).collect()),
-        ),
-        (
-            "stats",
-            Json::obj([
-                ("resources", Json::num(stats.resources as u32)),
-                (
-                    "resources_after_elimination",
-                    Json::num(stats.resources_after_elimination as u32),
-                ),
-                ("paths", Json::num(stats.paths as u32)),
-                ("tracked_paths", Json::num(stats.tracked_paths as u32)),
-                ("meta_ops", Json::num(stats.meta_ops as u32)),
-                (
-                    "meta_tracked_paths",
-                    Json::num(stats.meta_tracked_paths as u32),
-                ),
-                // Sequence and solver counters can exceed u32 (the state
-                // cache accounts factorial spaces; propagations run tens
-                // of millions/second) — serialize as f64 to keep the
-                // magnitude honest.
-                (
-                    "sequences_explored",
-                    Json::Num(stats.sequences_explored as f64),
-                ),
-                (
-                    "sequences_skipped",
-                    Json::Num(stats.sequences_skipped as f64),
-                ),
-                ("state_cache_hits", Json::num(stats.state_cache_hits as u32)),
-                ("distinct_outputs", Json::num(stats.distinct_outputs as u32)),
-                ("formula_nodes", Json::num(stats.formula_nodes as u32)),
-                ("solver_conflicts", Json::Num(stats.solver_conflicts as f64)),
-                (
-                    "solver_propagations",
-                    Json::Num(stats.solver_propagations as f64),
-                ),
-                ("grounded_clauses", Json::Num(stats.grounded_clauses as f64)),
-                (
-                    "grounding_reuse_ratio",
-                    Json::Num((stats.grounding_reuse_ratio() * 10000.0).round() / 10000.0),
-                ),
-            ]),
-        ),
-        (
-            "phases",
-            Json::Obj(
-                phases
-                    .iter()
-                    .map(|p| (p.name.clone(), Json::Num(p.total_us as f64 / 1000.0)))
-                    .collect(),
-            ),
-        ),
-        (
-            "metrics",
-            match obs {
-                Some(snap) => metrics_json(&snap.metrics),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-/// The `rehearsal-check/5` document rebuilt from a fleet [`JobResult`]
-/// row — the daemon's `/v1/check` response body. The verdict, detail,
-/// diagnostics, phases, and the counters a row carries are identical to
-/// what the batch CLI would report for the same job; stats the row does
-/// not record (formula nodes, distinct outputs, …) serialize as zero,
-/// exactly as they do for a cache hit.
-pub fn check_document_from_row(
     row: &JobResult,
     model_metadata: bool,
     metrics: Option<&rehearsal_trace::MetricsSnapshot>,
 ) -> Json {
-    let c = &row.counters;
     let (deterministic, idempotent) = match row.verdict {
         Verdict::Deterministic => (Json::Bool(true), Json::Bool(true)),
         Verdict::Nondeterministic => (Json::Bool(false), Json::Null),
@@ -530,34 +425,8 @@ pub fn check_document_from_row(
             "diagnostics",
             Json::Arr(row.diagnostics.iter().map(diagnostic_json).collect()),
         ),
-        (
-            "stats",
-            Json::obj([
-                ("resources", Json::num(row.resources as u32)),
-                ("meta_ops", Json::num(c.meta_ops as u32)),
-                ("meta_tracked_paths", Json::num(c.meta_tracked_paths as u32)),
-                ("sequences_explored", Json::Num(c.sequences_explored as f64)),
-                ("sequences_skipped", Json::Num(c.sequences_skipped as f64)),
-                ("solver_conflicts", Json::Num(c.solver_conflicts as f64)),
-                (
-                    "solver_propagations",
-                    Json::Num(c.solver_propagations as f64),
-                ),
-                (
-                    "grounding_reuse_ratio",
-                    Json::Num((c.grounding_reuse_ratio() * 10000.0).round() / 10000.0),
-                ),
-            ]),
-        ),
-        (
-            "phases",
-            Json::Obj(
-                row.phases
-                    .iter()
-                    .map(|(name, us)| (name.clone(), Json::Num(*us as f64 / 1000.0)))
-                    .collect(),
-            ),
-        ),
+        ("stats", stats_json(row)),
+        ("phases", phases_json(&row.phases)),
         ("cached", Json::Bool(row.cached)),
         ("reuse", reuse_json(row.reuse.as_ref())),
         (
@@ -568,6 +437,50 @@ pub fn check_document_from_row(
             },
         ),
     ])
+}
+
+/// A row's work counters: the check document's `stats` and the fleet
+/// row's `counters`. `resources` is the row's own count, so a cache hit
+/// still reports its size.
+fn stats_json(row: &JobResult) -> Json {
+    let s = &row.counters;
+    // Every counter renders as f64: sequence and solver counts can
+    // exceed u32 (the state cache accounts factorial spaces;
+    // propagations run tens of millions a second).
+    let n = |v: u64| Json::Num(v as f64);
+    Json::obj([
+        ("resources", n(row.resources as u64)),
+        (
+            "resources_after_elimination",
+            n(s.resources_after_elimination as u64),
+        ),
+        ("paths", n(s.paths as u64)),
+        ("tracked_paths", n(s.tracked_paths as u64)),
+        ("meta_ops", n(s.meta_ops as u64)),
+        ("meta_tracked_paths", n(s.meta_tracked_paths as u64)),
+        ("sequences_explored", n(s.sequences_explored as u64)),
+        ("sequences_skipped", n(s.sequences_skipped as u64)),
+        ("state_cache_hits", n(s.state_cache_hits as u64)),
+        ("distinct_outputs", n(s.distinct_outputs as u64)),
+        ("formula_nodes", n(s.formula_nodes as u64)),
+        ("solver_conflicts", n(s.solver_conflicts)),
+        ("solver_propagations", n(s.solver_propagations)),
+        ("grounded_clauses", n(s.grounded_clauses)),
+        (
+            "grounding_reuse_ratio",
+            Json::Num((s.grounding_reuse_ratio() * 10000.0).round() / 10000.0),
+        ),
+    ])
+}
+
+/// Per-phase wall-clock as an object of milliseconds.
+fn phases_json(phases: &[(String, u64)]) -> Json {
+    Json::Obj(
+        phases
+            .iter()
+            .map(|(name, us)| (name.clone(), Json::Num(*us as f64 / 1000.0)))
+            .collect(),
+    )
 }
 
 fn reuse_json(reuse: Option<&ReuseCounts>) -> Json {
@@ -582,7 +495,6 @@ fn reuse_json(reuse: Option<&ReuseCounts>) -> Json {
 }
 
 fn row_json(row: &JobResult) -> Json {
-    let c = &row.counters;
     Json::obj([
         ("manifest", Json::str(&row.manifest)),
         ("platform", Json::str(row.platform.to_string())),
@@ -592,42 +504,14 @@ fn row_json(row: &JobResult) -> Json {
         ("millis", Json::num(row.millis as u32)),
         ("queue_ms", Json::num(row.queue_ms as u32)),
         ("run_ms", Json::num(row.run_ms as u32)),
-        (
-            "phases",
-            Json::Obj(
-                row.phases
-                    .iter()
-                    .map(|(name, us)| (name.clone(), Json::Num(*us as f64 / 1000.0)))
-                    .collect(),
-            ),
-        ),
+        ("phases", phases_json(&row.phases)),
         ("cached", Json::Bool(row.cached)),
         ("reuse", reuse_json(row.reuse.as_ref())),
         (
             "diagnostics",
             Json::Arr(row.diagnostics.iter().map(diagnostic_json).collect()),
         ),
-        (
-            "counters",
-            Json::obj([
-                // Counters can exceed u32 on long solves (propagation
-                // rates run tens of millions/second); serialize as f64 to
-                // preserve magnitude.
-                ("sequences_explored", Json::Num(c.sequences_explored as f64)),
-                ("sequences_skipped", Json::Num(c.sequences_skipped as f64)),
-                ("solver_conflicts", Json::Num(c.solver_conflicts as f64)),
-                (
-                    "solver_propagations",
-                    Json::Num(c.solver_propagations as f64),
-                ),
-                (
-                    "grounding_reuse_ratio",
-                    Json::Num((c.grounding_reuse_ratio() * 10000.0).round() / 10000.0),
-                ),
-                ("meta_ops", Json::num(c.meta_ops as u32)),
-                ("meta_tracked_paths", Json::num(c.meta_tracked_paths as u32)),
-            ]),
-        ),
+        ("counters", stats_json(row)),
     ])
 }
 
@@ -656,7 +540,7 @@ mod tests {
             run_ms: 5,
             phases: Vec::new(),
             cached,
-            counters: AnalysisCounters::default(),
+            counters: DeterminismStats::default(),
             diagnostics: Vec::new(),
             reuse: None,
             store_key: None,
@@ -772,10 +656,19 @@ mod tests {
 
     #[test]
     fn grounding_reuse_ratio_bounds() {
-        let mut c = AnalysisCounters::default();
-        assert_eq!(c.grounding_reuse_ratio(), 0.0, "no grounding yet");
-        c.grounded_nodes = 25;
-        c.grounded_reused = 75;
-        assert!((c.grounding_reuse_ratio() - 0.75).abs() < 1e-9);
+        let ratio = |r: &JobResult| {
+            let counters = row_json(r).get("counters").cloned().expect("counters");
+            let stats = check_document(r, false, None).get("stats").cloned();
+            assert_eq!(stats, Some(counters.clone()), "one rendering for both");
+            match counters.get("grounding_reuse_ratio") {
+                Some(Json::Num(x)) => *x,
+                other => panic!("{other:?}"),
+            }
+        };
+        let mut r = row(Verdict::Deterministic, false);
+        assert_eq!(ratio(&r), 0.0, "no grounding yet");
+        r.counters.grounded_nodes = 25;
+        r.counters.grounded_reused = 75;
+        assert!((ratio(&r) - 0.75).abs() < 1e-9);
     }
 }

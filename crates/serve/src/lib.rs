@@ -27,9 +27,15 @@
 //!
 //! Endpoints: `POST /v1/check`, `POST /v1/lint`, `GET /v1/fleet`,
 //! `GET /v1/coverage`, `GET /v1/metrics` (Prometheus),
-//! `GET /v1/healthz`, `POST /v1/shutdown`. Check responses are the same
-//! `rehearsal-check/5` documents the batch CLI prints, built by the
-//! same serializer — verdicts are bit-identical by construction.
+//! `GET /v1/healthz`, `POST /v1/shutdown`. A check response is the
+//! `rehearsal-check/5` document `rehearsal check --json` prints: both
+//! run the one verdict ladder ([`rehearsal_core::analyze`]), build a
+//! fleet row with [`rehearsal_fleet::JobResult::from_analysis`] and
+//! render it with [`rehearsal_fleet::check_document`], so a cold answer
+//! differs from the CLI's only in `manifest`, `phases`, `metrics`,
+//! `reuse` (the daemon counts what its store reused) and the `serve`
+//! object; a store hit also sets `cached` and zeroes the analysis
+//! counters in `stats`, since no analysis ran.
 //!
 //! # Examples
 //!

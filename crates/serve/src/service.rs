@@ -382,8 +382,7 @@ impl Service {
             // The document a cache hit renders; `metrics` is null because
             // no engine ran.
             self.registry.counter_add("serve.cache_hits", 1);
-            let mut doc =
-                rehearsal_fleet::check_document_from_row(&row, analysis.model_metadata, None);
+            let mut doc = rehearsal_fleet::check_document(&row, analysis.model_metadata, None);
             let drift = self.settle(manifest, platform, fp, &row, entry.digest);
             attach_serve(&mut doc, true, drift, started);
             return CheckOutcome {
@@ -407,11 +406,8 @@ impl Service {
         }]);
         self.registry.merge_snapshot(&report.metrics);
         let row = &report.rows[0];
-        let mut doc = rehearsal_fleet::check_document_from_row(
-            row,
-            analysis.model_metadata,
-            Some(&report.metrics),
-        );
+        let mut doc =
+            rehearsal_fleet::check_document(row, analysis.model_metadata, Some(&report.metrics));
         let digest = self
             .state
             .baseline_get(manifest, fp)

@@ -49,7 +49,7 @@ fn main() {
     // 3. A parse error: also a diagnostic, also anchored.
     println!("\n== broken manifest ==");
     let analysis = tool.verify_source("broken.pp", BROKEN);
-    assert!(analysis.report.is_none());
+    assert!(analysis.report.is_err());
     let err = analysis.errors().next().expect("parse error");
     assert_eq!(err.code, codes::SYNTAX_ERROR);
     print!("{}", analysis.source_map.render(err));

@@ -42,7 +42,7 @@
 #![warn(missing_docs)]
 
 pub use rehearsal_core::{
-    check_determinism, check_expr_equivalence, check_expr_idempotence, check_idempotence,
+    analyze, check_determinism, check_expr_equivalence, check_expr_idempotence, check_idempotence,
     check_invariant, AnalysisAborted, AnalysisOptions, CancelToken, Counterexample,
     DeterminismReport, DeterminismStats, EquivalenceReport, FsGraph, IdempotenceReport, Invariant,
     InvariantReport, Rehearsal, RehearsalError, RehearsalErrorKind, SourceAnalysis,

@@ -11,7 +11,7 @@
 
 use rehearsal::fleet::{
     check_document, diagnostic_json, discover_manifests, github_annotations, read_manifest_list,
-    BaselineStore, FleetEngine, FleetOptions, Json, StateDir, VerdictCache,
+    BaselineStore, FleetEngine, FleetOptions, JobResult, Json, StateDir, VerdictCache,
 };
 use rehearsal::trace::Session;
 use rehearsal::{
@@ -435,29 +435,32 @@ fn run_check(args: &Args) -> Result<bool, String> {
     }
 
     if args.json {
-        let (det, idem) = match &analysis.report {
-            Some(r) => (Some(&r.determinism), r.idempotence.as_ref()),
-            None => (None, None),
-        };
         // The analysis is done, so every phase span has closed; the
         // snapshot taken here is the run's complete profile.
         let obs = rehearsal::trace::current().map(|s| s.snapshot());
+        let resources = analysis.graph.as_ref().map_or(0, |g| g.exprs.len());
+        let mut row = JobResult::from_analysis(
+            path.clone(),
+            args.platform,
+            resources,
+            &analysis.report,
+            analysis.diagnostics.clone(),
+        );
+        if let Some(snap) = &obs {
+            row.phases = snap
+                .phase_totals()
+                .into_iter()
+                .map(|p| (p.name, p.total_us))
+                .collect();
+        }
+        let metrics = obs.as_ref().map(|snap| &snap.metrics);
         println!(
             "{}",
-            check_document(
-                &path,
-                args.platform,
-                args.options.model_metadata,
-                det,
-                idem,
-                &analysis.diagnostics,
-                obs.as_ref(),
-            )
-            .render_pretty()
+            check_document(&row, args.options.model_metadata, metrics).render_pretty()
         );
     }
 
-    let Some(report) = &analysis.report else {
+    let Ok(report) = &analysis.report else {
         // Pipeline error (or aborted analysis): the error diagnostics are
         // the message; exit code 2 either way.
         let errors: Vec<Diagnostic> = analysis.errors().cloned().collect();

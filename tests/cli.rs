@@ -353,3 +353,30 @@ fn fleet_annotations_print_under_github_actions() {
         .expect("binary runs");
     assert!(!String::from_utf8_lossy(&out.stdout).contains("::error"));
 }
+
+#[test]
+fn check_json_reports_an_aborted_analysis_as_timeout() {
+    // The same answer fleet and serve give: verdict `timeout`, the abort
+    // reason in `detail`, the R3003 finding in `diagnostics`; the exit
+    // code stays 2.
+    let out = rehearsal()
+        .args(["check", &manifest("hosting.pp"), "--json", "--timeout", "0"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let doc = parse_json(&String::from_utf8_lossy(&out.stdout)).expect("JSON document");
+    assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("timeout"));
+    assert!(matches!(doc.get("deterministic"), Some(Json::Null)));
+    let detail = doc.get("detail").and_then(Json::as_str).unwrap_or_default();
+    assert!(detail.starts_with("timeout during"), "{detail}");
+    let codes: Vec<&str> = doc
+        .get("diagnostics")
+        .and_then(Json::as_arr)
+        .expect("diagnostics")
+        .iter()
+        .filter_map(|d| d.get("code").and_then(Json::as_str))
+        .collect();
+    assert!(codes.contains(&"R3003"), "{codes:?}");
+    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
+    assert!(matches!(doc.get("reuse"), Some(Json::Null)));
+}

@@ -272,35 +272,48 @@ fn disabled_tracing_overhead_is_in_the_noise() {
 /// and the initial symbolic state), `search` (the explorer, including its
 /// `solve` calls) and `decode` (the counterexample's initial state). On
 /// logstash-nondet, the slowest pinned manifest, they cover at least 90%
-/// of it.
+/// of it. `idempotence` is attributed the same way on hosting, whose
+/// three components all certify: `components` (the footprint partition
+/// and each component's sequence) and `certify`.
 #[test]
 fn explore_children_cover_the_explore_span() {
     let _serial = serial();
     let source = by_name("logstash-nondet")
         .expect("bundled benchmark")
         .source;
-    let snap = verify_traced(source);
-    let explores: Vec<_> = snap.spans.iter().filter(|s| s.name == "explore").collect();
-    assert!(!explores.is_empty());
-    let total: u64 = explores.iter().map(|s| s.dur_us).sum();
+    assert_children_cover(
+        &verify_traced(source),
+        "explore",
+        &["domain", "search", "decode"],
+    );
+    // The idempotence phase of a deterministic manifest whose components
+    // all certify: partitioning plus the certificates are the whole of it.
+    let source = by_name("hosting").expect("bundled benchmark").source;
+    assert_children_cover(
+        &verify_traced(source),
+        "idempotence",
+        &["components", "certify"],
+    );
+}
+
+/// Every child of a `parent` span is one of `names`, each name occurs, and
+/// together the children cover at least 90% of the parent's time.
+fn assert_children_cover(snap: &TraceSnapshot, parent: &str, names: &[&str]) {
+    let parents: Vec<_> = snap.spans.iter().filter(|s| s.name == parent).collect();
+    assert!(!parents.is_empty(), "{parent} span");
+    let total: u64 = parents.iter().map(|s| s.dur_us).sum();
     let children: u64 = snap
         .spans
         .iter()
-        .filter(|s| explores.iter().any(|e| e.id == s.parent))
-        .inspect(|s| {
-            assert!(
-                ["domain", "search", "decode"].contains(&s.name),
-                "{}",
-                s.name
-            )
-        })
+        .filter(|s| parents.iter().any(|p| p.id == s.parent))
+        .inspect(|s| assert!(names.contains(&s.name), "{} under {parent}", s.name))
         .map(|s| s.dur_us)
         .sum();
-    for name in ["domain", "search", "decode"] {
-        assert!(snap.spans.iter().any(|s| s.name == name), "{name} span");
+    for name in names {
+        assert!(snap.spans.iter().any(|s| s.name == *name), "{name} span");
     }
     assert!(
         children * 10 >= total * 9,
-        "children cover {children} of {total} µs"
+        "children of {parent} cover {children} of {total} µs"
     );
 }

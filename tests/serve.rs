@@ -547,3 +547,90 @@ fn a_memo_hit_settles_drift_coverage_and_history() {
     assert_eq!(count("check"), 4, "{events:?}");
     assert_eq!(count("drift"), 2, "{events:?}");
 }
+
+/// `rehearsal check --json` and a cold `/v1/check` render one document:
+/// on all 25 pinned manifests, a parse error, an evaluation error and an
+/// aborted analysis, the two agree on everything but the keys that
+/// describe the run rather than the answer.
+#[test]
+fn check_and_a_cold_serve_request_return_one_document() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut inputs: Vec<(PathBuf, bool, bool)> = Vec::new();
+    for (dir, metadata) in [("benchmarks", false), ("benchmarks-metadata", true)] {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(root.join(dir))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "pp"))
+            .collect();
+        paths.sort();
+        inputs.extend(paths.into_iter().map(|p| (p, metadata, false)));
+    }
+    assert_eq!(inputs.len(), 25, "the pinned manifests");
+    let dir = temp_dir("one-document");
+    for (name, source) in [
+        ("parse-error.pp", "file { '/a' content => 'x' }\n"),
+        ("eval-error.pp", "file { '/a': content => $missing }\n"),
+    ] {
+        std::fs::write(dir.join(name), source).unwrap();
+        inputs.push((dir.join(name), false, false));
+    }
+    inputs.push((root.join("benchmarks/hosting.pp"), false, true));
+
+    let volatile = ["manifest", "phases", "metrics", "serve", "cached", "reuse"];
+    let strip = |doc: Json| match doc {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .into_iter()
+                .filter(|(k, _)| !volatile.contains(&k.as_str()))
+                .collect(),
+        ),
+        other => panic!("not an object: {other:?}"),
+    };
+    let mut verdicts = Vec::new();
+    for (path, metadata, timeout) in inputs {
+        let mut cli = Command::new(env!("CARGO_BIN_EXE_rehearsal"));
+        cli.arg("check").arg(&path).arg("--json");
+        if metadata {
+            cli.arg("--model-metadata");
+        }
+        if timeout {
+            cli.args(["--timeout", "0"]);
+        }
+        let out = cli.output().expect("binary runs");
+        let printed = rehearsal::fleet::parse_json(&String::from_utf8_lossy(&out.stdout))
+            .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+
+        let mut body = vec![
+            ("manifest", Json::str(path.display().to_string())),
+            ("source", Json::str(std::fs::read_to_string(&path).unwrap())),
+            ("model_metadata", Json::Bool(metadata)),
+        ];
+        if timeout {
+            body.push(("timeout_s", Json::num(0)));
+        }
+        let service = Service::new(ServeOptions::default()).unwrap();
+        let response = service.handle(&Request {
+            method: "POST".to_string(),
+            path: "/v1/check".to_string(),
+            body: Json::obj(body).render().into_bytes(),
+        });
+        let served = rehearsal::fleet::parse_json(&response.body).expect("JSON response");
+        assert_eq!(
+            field(&served, &["serve", "cache_hit"]),
+            &Json::Bool(false),
+            "a cold request"
+        );
+        verdicts.push(field(&printed, &["verdict"]).as_str().unwrap().to_string());
+        assert_eq!(
+            strip(printed),
+            strip(served),
+            "{} (metadata {metadata}, timeout {timeout})",
+            path.display()
+        );
+    }
+    assert_eq!(
+        verdicts[25..],
+        ["error", "error", "timeout"],
+        "the failure inputs"
+    );
+}
