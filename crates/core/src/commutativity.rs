@@ -14,13 +14,13 @@
 //! expressions, and identical subprograms (shared dependency blocks,
 //! repeated idioms) now summarize exactly once.
 
-use crate::memo::ExprMemo;
+use crate::memo::SharedExprMemo;
 use rehearsal_fs::{Expr, ExprNode, FsPath, Pred, PredNode};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Abstract access to one path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Access {
     /// Untouched.
     Bot,
@@ -54,11 +54,11 @@ impl Access {
 /// With the hash-consed IR the tag is simply the block's arena id —
 /// structural identity is id identity, so the seed's hash-plus-size
 /// approximation (with its theoretical collisions) is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct BlockTag(Expr);
 
 /// How a path relates to idempotent blocks within one expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BlockCtx {
     /// Every access to the path sits inside this one block.
     Only(BlockTag),
@@ -67,7 +67,7 @@ enum BlockCtx {
 }
 
 /// The abstract access summary of one expression.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct AccessSummary {
     map: BTreeMap<FsPath, Access>,
     /// Paths whose *children* the expression observes (via `rm` or
@@ -385,8 +385,8 @@ fn expr_accesses(e: Expr, out: &mut AccessSummary, block: Option<BlockTag>) {
 /// the same (sub)program — across the commutativity pass, elimination,
 /// pruning, and repair — are answered by a shared `Arc` in O(1).
 pub fn accesses(e: Expr) -> Arc<AccessSummary> {
-    static MEMO: ExprMemo<AccessSummary> =
-        ExprMemo::new("memo.accesses.hits", "memo.accesses.misses");
+    static MEMO: SharedExprMemo<AccessSummary> =
+        SharedExprMemo::new("memo.accesses.hits", "memo.accesses.misses");
     MEMO.get_or_compute(e, || {
         let mut out = AccessSummary::default();
         expr_accesses(e, &mut out, None);

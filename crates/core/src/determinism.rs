@@ -484,6 +484,8 @@ struct VisitKey {
 struct Frame {
     remaining: Bits,
     state: SymState,
+    /// `state.key()`, computed once by the step that produced the state.
+    state_key: StateKey,
     /// Branch choices (the whole fringe, or one element when POR commits).
     candidates: Vec<usize>,
     /// Next candidate to expand.
@@ -499,10 +501,11 @@ struct Frame {
 }
 
 impl Frame {
-    fn unentered(remaining: Bits, state: SymState) -> Frame {
+    fn unentered(remaining: Bits, state: SymState, state_key: StateKey) -> Frame {
         Frame {
             remaining,
             state,
+            state_key,
             candidates: Vec::new(),
             next: 0,
             pushed: false,
@@ -565,6 +568,7 @@ impl<'a> Explorer<'a> {
             }
             out
         };
+        let commute_span = rehearsal_trace::span_cat("commute", "core");
         let commute_mask = if options.commutativity {
             let summaries: Vec<Arc<AccessSummary>> =
                 graph.exprs.iter().map(|&e| accesses(e)).collect();
@@ -582,6 +586,7 @@ impl<'a> Explorer<'a> {
         } else {
             vec![Bits::new(n); n]
         };
+        drop(commute_span);
         Explorer {
             graph,
             preds,
@@ -671,11 +676,11 @@ impl<'a> Explorer<'a> {
         &mut self,
         enc: &mut Encoder,
         state: SymState,
+        key: StateKey,
         prefix: &[usize],
     ) -> Result<Option<EarlyExit>, AnalysisAborted> {
         self.explored += 1;
         self.check_sequence_cap()?;
-        let key = state.key();
         if self.seen_outputs.contains_key(&key) {
             return Ok(None);
         }
@@ -713,7 +718,8 @@ impl<'a> Explorer<'a> {
         let n = self.graph.exprs.len();
         let mut prefix: Vec<usize> = Vec::with_capacity(n);
         let mut stack: Vec<Frame> = Vec::with_capacity(n + 1);
-        stack.push(Frame::unentered(Bits::full(n), initial));
+        let initial_key = initial.key();
+        stack.push(Frame::unentered(Bits::full(n), initial, initial_key));
         // Sampled trace events: one per 4096 loop iterations, so a hot DFS
         // costs a local increment + branch when tracing is off and a
         // bounded number of records when it is on.
@@ -742,7 +748,9 @@ impl<'a> Explorer<'a> {
                 self.check_budget()?;
                 if top.remaining.is_empty() {
                     let frame = stack.pop().expect("frame on stack");
-                    if let Some(exit) = self.record_leaf(enc, frame.state, &prefix)? {
+                    if let Some(exit) =
+                        self.record_leaf(enc, frame.state, frame.state_key, &prefix)?
+                    {
                         return Ok(Some(exit));
                     }
                     return_to_parent(&mut stack, &mut prefix);
@@ -751,7 +759,7 @@ impl<'a> Explorer<'a> {
                 if self.options.state_cache {
                     let key = VisitKey {
                         remaining: top.remaining.clone(),
-                        state: top.state.key(),
+                        state: (top.state_key.0, std::mem::take(&mut top.state_key.1)),
                     };
                     if let Some(&count) = self.visited.get(&key) {
                         self.cache_hits += 1;
@@ -775,11 +783,18 @@ impl<'a> Explorer<'a> {
             if top.next < top.candidates.len() {
                 let e = top.candidates[top.next];
                 top.next += 1;
-                let next_state = enc.eval_expr(self.graph.exprs[e], &top.state);
+                // One symbolic step: the resource's effect on the state,
+                // and the key the state cache and output dedup probe.
+                let (next_state, next_key) = {
+                    let _span = rehearsal_trace::span_cat("step", "core");
+                    let next = enc.eval_expr(self.graph.exprs[e], &top.state);
+                    let key = next.key();
+                    (next, key)
+                };
                 let rest = top.remaining.without(e);
                 top.pushed = true;
                 prefix.push(e);
-                stack.push(Frame::unentered(rest, next_state));
+                stack.push(Frame::unentered(rest, next_state, next_key));
             } else {
                 let frame = stack.pop().expect("frame on stack");
                 if let Some(key) = frame.key {

@@ -19,7 +19,7 @@ use rehearsal_fs::{
     Content, Expr, ExprNode, FileState, FileSystem, FsPath, Meta, MetaValue, Pred, PredNode,
 };
 use rehearsal_solver::{Ctx, Formula, ModelView, Term};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// The per-field metadata terms of one path, in [`MetaField::ALL`]
 /// (owner, group, mode) order.
@@ -31,16 +31,20 @@ pub type MetaTerms = [Term; 3];
 /// `path → {File(content, meta), Dir(meta), Absent}` where each of the
 /// three `meta` fields is a separate finite-domain term over
 /// `{Unmanaged} ∪ mentioned values`.
+///
+/// Both term vectors are dense, in the encoder's domain order (see
+/// [`Encoder::term_of`] for the term of one path).
 #[derive(Debug, Clone)]
 pub struct SymState {
     /// True iff no operation has failed.
     pub ok: Formula,
-    /// The symbolic state of every modeled path.
-    pub fs: BTreeMap<FsPath, Term>,
+    /// The symbolic state of every modeled path, in domain order.
+    pub fs: Vec<Term>,
     /// The symbolic metadata of every metadata-tracked path (see
-    /// [`Domain::meta_paths`]); empty for metadata-free programs, which
-    /// keeps their state keys bit-identical to the metadata-free model.
-    pub meta: BTreeMap<FsPath, MetaTerms>,
+    /// [`Domain::meta_paths`]), in that set's order; empty for
+    /// metadata-free programs, which keeps their state keys bit-identical
+    /// to the metadata-free model.
+    pub meta: Vec<MetaTerms>,
 }
 
 /// The canonical identity of a [`SymState`]: the `ok` handle plus the term
@@ -56,16 +60,20 @@ impl SymState {
     /// content hash the explorer's output dedup and state cache bucket
     /// on; comparing keys is exact structural identity.
     pub fn key(&self) -> StateKey {
-        let mut terms: Vec<Term> = self.fs.values().copied().collect();
-        for fields in self.meta.values() {
+        let mut terms = Vec::with_capacity(self.fs.len() + 3 * self.meta.len());
+        terms.extend_from_slice(&self.fs);
+        for fields in &self.meta {
             terms.extend_from_slice(fields);
         }
         (self.ok, terms)
     }
 }
 
-fn state_key(state: &SymState) -> StateKey {
-    state.key()
+/// The position of `p` in a sorted path list.
+fn position(paths: &[FsPath], p: FsPath) -> usize {
+    paths
+        .binary_search(&p)
+        .unwrap_or_else(|_| panic!("path {p} not in the analysis domain"))
 }
 
 /// The symbolic encoder: a solver context plus the value table and domain
@@ -80,6 +88,10 @@ pub struct Encoder {
     pub meta_values: MetaTable,
     /// The bounded path domain.
     pub domain: Domain,
+    /// `domain.paths` in order: the index of a path's term in a state.
+    paths: Vec<FsPath>,
+    /// `domain.meta_paths` in order: the index of a path's metadata terms.
+    meta_paths: Vec<FsPath>,
     /// Paths encoded as read-only (pruned paths, paper §4.4): their initial
     /// variable is reused and never overwritten.
     read_only: BTreeSet<FsPath>,
@@ -87,6 +99,12 @@ pub struct Encoder {
     eval_memo: HashMap<(Expr, StateKey), SymState>,
     /// Memo hits, for stats/diagnostics.
     eval_memo_hits: usize,
+    /// The index of every path term written during the current
+    /// evaluation, newest last (duplicates allowed): a conditional merges
+    /// only what its branches appended here.
+    written: Vec<usize>,
+    /// Likewise for metadata terms.
+    meta_written: Vec<usize>,
 }
 
 impl Encoder {
@@ -96,10 +114,14 @@ impl Encoder {
             ctx: Ctx::new(),
             values: ValueTable::new(),
             meta_values: MetaTable::new(),
+            paths: domain.paths.iter().copied().collect(),
+            meta_paths: domain.meta_paths.iter().copied().collect(),
             domain,
             read_only: BTreeSet::new(),
             eval_memo: HashMap::new(),
             eval_memo_hits: 0,
+            written: Vec::new(),
+            meta_written: Vec::new(),
         }
     }
 
@@ -134,8 +156,8 @@ impl Encoder {
     /// checker reports divergences on impossible states such as
     /// `/etc/ntp.conf` existing inside a missing `/etc`.
     pub fn initial_state(&mut self) -> SymState {
-        let mut fs = BTreeMap::new();
-        for &p in &self.domain.paths.clone() {
+        let mut fs = Vec::with_capacity(self.paths.len());
+        for &p in &self.paths {
             let term = if p == FsPath::root() {
                 let dir = self.values.code(PathValue::Dir);
                 self.ctx.val(dir)
@@ -145,36 +167,37 @@ impl Encoder {
                 let init = self.values.code(PathValue::FileInit(p));
                 self.ctx.fd_var(&[dne, dir, init])
             };
-            fs.insert(p, term);
+            fs.push(term);
         }
         // Tree consistency: exists(p) → dir?(parent(p)).
-        for (&p, &t) in &fs {
+        for (&p, &t) in self.paths.iter().zip(&fs) {
             let Some(parent) = p.parent() else { continue };
-            let Some(&pt) = fs.get(&parent) else { continue };
+            let Ok(parent_index) = self.paths.binary_search(&parent) else {
+                continue;
+            };
             let exists = {
                 let dne = self.ctx.bit(t, CODE_DNE);
                 self.ctx.not(dne)
             };
-            let parent_dir = self.ctx.bit(pt, CODE_DIR);
+            let parent_dir = self.ctx.bit(fs[parent_index], CODE_DIR);
             let implication = self.ctx.implies(exists, parent_dir);
             self.ctx.assert_background(implication);
         }
         // Metadata-tracked paths get one free variable per field over
         // `{Unmanaged} ∪ mentioned values` — the initial metadata may be
         // anything the programs could subsequently observe.
-        let mut meta = BTreeMap::new();
-        if !self.domain.meta_paths.is_empty() {
+        let mut meta = Vec::with_capacity(self.meta_paths.len());
+        if !self.meta_paths.is_empty() {
             let mut codes = vec![self.meta_values.code(MetaValue::Unmanaged)];
-            for &v in &self.domain.meta_values.clone() {
+            for &v in &self.domain.meta_values {
                 codes.push(self.meta_values.code(MetaValue::Set(v)));
             }
-            for &p in &self.domain.meta_paths.clone() {
-                let fields = [
+            for _ in &self.meta_paths {
+                meta.push([
                     self.ctx.fd_var(&codes),
                     self.ctx.fd_var(&codes),
                     self.ctx.fd_var(&codes),
-                ];
-                meta.insert(p, fields);
+                ]);
             }
         }
         SymState {
@@ -184,38 +207,35 @@ impl Encoder {
         }
     }
 
-    /// The constant `Unmanaged` metadata terms (fresh paths start here).
-    fn unmanaged_meta(&mut self) -> MetaTerms {
-        let code = self.meta_values.code(MetaValue::Unmanaged);
-        let t = self.ctx.val(code);
-        [t, t, t]
-    }
-
     /// Resets a freshly created/removed path's metadata to `Unmanaged`
     /// (a no-op for paths whose metadata is untracked).
     fn reset_meta(&mut self, state: &mut SymState, p: FsPath) {
-        if state.meta.contains_key(&p) {
-            let fields = self.unmanaged_meta();
-            state.meta.insert(p, fields);
+        if let Ok(i) = self.meta_paths.binary_search(&p) {
+            let code = self.meta_values.code(MetaValue::Unmanaged);
+            let t = self.ctx.val(code);
+            state.meta[i] = [t, t, t];
+            self.meta_written.push(i);
         }
     }
 
-    fn term_for(&self, state: &SymState, p: FsPath) -> Term {
-        *state
-            .fs
-            .get(&p)
-            .unwrap_or_else(|| panic!("path {p} not in the analysis domain"))
+    /// The term `state` holds for the domain path `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in the domain.
+    pub fn term_of(&self, state: &SymState, p: FsPath) -> Term {
+        state.fs[position(&self.paths, p)]
     }
 
     /// `dir?(p)` as a formula.
     pub fn is_dir(&mut self, state: &SymState, p: FsPath) -> Formula {
-        let t = self.term_for(state, p);
+        let t = self.term_of(state, p);
         self.ctx.bit(t, CODE_DIR)
     }
 
     /// `none?(p)` as a formula.
     pub fn is_dne(&mut self, state: &SymState, p: FsPath) -> Formula {
-        let t = self.term_for(state, p);
+        let t = self.term_of(state, p);
         self.ctx.bit(t, CODE_DNE)
     }
 
@@ -234,8 +254,9 @@ impl Encoder {
     /// [`Domain::of_exprs`] (paper fig. 8).
     pub fn is_empty_dir(&mut self, state: &SymState, p: FsPath) -> Formula {
         let mut conj = vec![self.is_dir(state, p)];
-        for &c in self.domain.children_of(p).to_vec().iter() {
-            conj.push(self.is_dne(state, c));
+        for &c in self.domain.children_of(p) {
+            let t = state.fs[position(&self.paths, c)];
+            conj.push(self.ctx.bit(t, CODE_DNE));
         }
         self.ctx.and(conj)
     }
@@ -253,7 +274,7 @@ impl Encoder {
                 // Exists ∧ field managed to exactly v.
                 let dne = self.is_dne(state, p);
                 let exists = self.ctx.not(dne);
-                let term = state.meta[&p][field.index()];
+                let term = state.meta[position(&self.meta_paths, p)][field.index()];
                 let code = self.meta_values.code(MetaValue::Set(v));
                 let matches = self.ctx.bit(term, code);
                 self.ctx.and2(exists, matches)
@@ -280,7 +301,9 @@ impl Encoder {
             !self.read_only.contains(&p),
             "write to pruned (read-only) path {p}"
         );
-        state.fs.insert(p, value);
+        let i = position(&self.paths, p);
+        state.fs[i] = value;
+        self.written.push(i);
     }
 
     /// Φ(e): evaluates an expression symbolically (paper fig. 7).
@@ -291,12 +314,13 @@ impl Encoder {
     /// where repeats actually happen. The recursion below this entry is
     /// unmemoized — intermediate states along a `Seq` spine are unique, so
     /// keying every internal node would cost O(paths) per node for no
-    /// hits.
+    /// hits. Below the entry the state is threaded by value: a step
+    /// updates only the terms it writes, and an undecided conditional
+    /// copies the state once and merges only the terms its branches wrote.
     pub fn eval_expr(&mut self, e: Expr, state: &SymState) -> SymState {
-        let node = e.node();
-        let key = match node {
+        let key = match e.node() {
             ExprNode::Seq(_, _) | ExprNode::If(_, _, _) => {
-                let key = (e, state_key(state));
+                let key = (e, state.key());
                 if let Some(cached) = self.eval_memo.get(&key) {
                     self.eval_memo_hits += 1;
                     return cached.clone();
@@ -305,159 +329,121 @@ impl Encoder {
             }
             _ => None,
         };
-        let out = self.eval_node(node, state);
+        let out = self.eval_owned(e, state.clone());
+        self.written.clear();
+        self.meta_written.clear();
         if let Some(key) = key {
             self.eval_memo.insert(key, out.clone());
         }
         out
     }
 
-    /// Unmemoized recursion (see [`Encoder::eval_expr`]).
-    fn eval_rec(&mut self, e: Expr, state: &SymState) -> SymState {
-        self.eval_node(e.node(), state)
-    }
-
-    fn eval_node(&mut self, node: ExprNode, state: &SymState) -> SymState {
-        match node {
-            ExprNode::Skip => state.clone(),
-            ExprNode::Error => SymState {
-                ok: self.ctx.ff(),
-                fs: state.fs.clone(),
-                meta: state.meta.clone(),
-            },
+    fn eval_owned(&mut self, e: Expr, mut state: SymState) -> SymState {
+        match e.node() {
+            ExprNode::Skip => state,
+            ExprNode::Error => {
+                state.ok = self.ctx.ff();
+                state
+            }
             ExprNode::Mkdir(p) => {
                 let parent = p.parent().expect("mkdir of root is rejected upstream");
-                let pre_parent = self.is_dir(state, parent);
-                let pre_self = self.is_dne(state, p);
+                let pre_parent = self.is_dir(&state, parent);
+                let pre_self = self.is_dne(&state, p);
                 let pre = self.ctx.and2(pre_parent, pre_self);
-                let ok = self.ctx.and2(state.ok, pre);
-                let mut out = SymState {
-                    ok,
-                    fs: state.fs.clone(),
-                    meta: state.meta.clone(),
-                };
+                state.ok = self.ctx.and2(state.ok, pre);
                 let dir = self.values.code(PathValue::Dir);
                 let dir_t = self.ctx.val(dir);
-                self.set_path(&mut out, p, dir_t);
-                self.reset_meta(&mut out, p);
-                out
+                self.set_path(&mut state, p, dir_t);
+                self.reset_meta(&mut state, p);
+                state
             }
             ExprNode::CreateFile(p, content) => {
                 let parent = p.parent().expect("creat at root is rejected upstream");
-                let pre_parent = self.is_dir(state, parent);
-                let pre_self = self.is_dne(state, p);
+                let pre_parent = self.is_dir(&state, parent);
+                let pre_self = self.is_dne(&state, p);
                 let pre = self.ctx.and2(pre_parent, pre_self);
-                let ok = self.ctx.and2(state.ok, pre);
-                let mut out = SymState {
-                    ok,
-                    fs: state.fs.clone(),
-                    meta: state.meta.clone(),
-                };
+                state.ok = self.ctx.and2(state.ok, pre);
                 let code = self.values.code(PathValue::File(content));
                 let t = self.ctx.val(code);
-                self.set_path(&mut out, p, t);
-                self.reset_meta(&mut out, p);
-                out
+                self.set_path(&mut state, p, t);
+                self.reset_meta(&mut state, p);
+                state
             }
             ExprNode::Rm(p) => {
-                let is_f = self.is_file(state, p);
-                let is_ed = self.is_empty_dir(state, p);
+                let is_f = self.is_file(&state, p);
+                let is_ed = self.is_empty_dir(&state, p);
                 let pre = self.ctx.or2(is_f, is_ed);
-                let ok = self.ctx.and2(state.ok, pre);
-                let mut out = SymState {
-                    ok,
-                    fs: state.fs.clone(),
-                    meta: state.meta.clone(),
-                };
+                state.ok = self.ctx.and2(state.ok, pre);
                 let dne = self.values.code(PathValue::Dne);
                 let t = self.ctx.val(dne);
-                self.set_path(&mut out, p, t);
+                self.set_path(&mut state, p, t);
                 // An absent path has canonical (Unmanaged) metadata, so
                 // create-then-remove reconverges with never-created.
-                self.reset_meta(&mut out, p);
-                out
+                self.reset_meta(&mut state, p);
+                state
             }
             ExprNode::Cp(src, dst) => {
                 let dst_parent = dst.parent().expect("cp to root is rejected upstream");
-                let pre_src = self.is_file(state, src);
-                let pre_parent = self.is_dir(state, dst_parent);
-                let pre_dst = self.is_dne(state, dst);
+                let pre_src = self.is_file(&state, src);
+                let pre_parent = self.is_dir(&state, dst_parent);
+                let pre_dst = self.is_dne(&state, dst);
                 let pre = self.ctx.and([pre_src, pre_parent, pre_dst]);
-                let ok = self.ctx.and2(state.ok, pre);
-                let mut out = SymState {
-                    ok,
-                    fs: state.fs.clone(),
-                    meta: state.meta.clone(),
-                };
+                state.ok = self.ctx.and2(state.ok, pre);
                 // The destination takes the source's (file) value; non-file
                 // cases are excluded by `ok`, so junk values are harmless.
-                let src_t = self.term_for(state, src);
-                self.set_path(&mut out, dst, src_t);
+                let src_t = self.term_of(&state, src);
+                self.set_path(&mut state, dst, src_t);
                 // cp does not copy metadata: the fresh copy is unmanaged.
-                self.reset_meta(&mut out, dst);
-                out
+                self.reset_meta(&mut state, dst);
+                state
             }
             ExprNode::ChMeta(p, field, v) => {
-                let dne = self.is_dne(state, p);
+                let dne = self.is_dne(&state, p);
                 let pre = self.ctx.not(dne);
-                let ok = self.ctx.and2(state.ok, pre);
-                let mut out = SymState {
-                    ok,
-                    fs: state.fs.clone(),
-                    meta: state.meta.clone(),
-                };
+                state.ok = self.ctx.and2(state.ok, pre);
                 let code = self.meta_values.code(MetaValue::Set(v));
                 let t = self.ctx.val(code);
-                let fields = out.meta.get_mut(&p).expect("meta path is in the domain");
-                fields[field.index()] = t;
-                out
+                let i = position(&self.meta_paths, p);
+                state.meta[i][field.index()] = t;
+                self.meta_written.push(i);
+                state
             }
             ExprNode::Seq(a, b) => {
-                let mid = self.eval_rec(a, state);
-                self.eval_rec(b, &mid)
+                let mid = self.eval_owned(a, state);
+                self.eval_owned(b, mid)
             }
             ExprNode::If(pred, then_, else_) => {
-                let cond = self.eval_pred(pred, state);
+                let cond = self.eval_pred(pred, &state);
                 if self.ctx.is_true(cond) {
-                    return self.eval_rec(then_, state);
+                    return self.eval_owned(then_, state);
                 }
                 if self.ctx.is_false(cond) {
-                    return self.eval_rec(else_, state);
+                    return self.eval_owned(else_, state);
                 }
-                let st = self.eval_rec(then_, state);
-                let se = self.eval_rec(else_, state);
+                let (mark, meta_mark) = (self.written.len(), self.meta_written.len());
+                let st = self.eval_owned(then_, state.clone());
+                let se = self.eval_owned(else_, state);
                 let ok = self.ctx.ite(cond, st.ok, se.ok);
-                let mut fs = state.fs.clone();
-                // Only merge paths that changed in at least one branch.
-                for (&p, &orig) in &state.fs {
-                    let tt = *st.fs.get(&p).unwrap_or(&orig);
-                    let te = *se.fs.get(&p).unwrap_or(&orig);
+                // Only the terms either branch wrote can differ; the
+                // entries stay in the logs for any enclosing conditional.
+                let mut out = st;
+                out.ok = ok;
+                for i in sorted_unique(&self.written[mark..]) {
+                    let (tt, te) = (out.fs[i], se.fs[i]);
                     if tt != te {
-                        let merged = self.ctx.tite(cond, tt, te);
-                        fs.insert(p, merged);
-                    } else if tt != orig {
-                        fs.insert(p, tt);
+                        out.fs[i] = self.ctx.tite(cond, tt, te);
                     }
                 }
                 // And likewise for every tracked metadata field.
-                let mut meta = state.meta.clone();
-                for (&p, orig) in &state.meta {
-                    let ft = *st.meta.get(&p).unwrap_or(orig);
-                    let fe = *se.meta.get(&p).unwrap_or(orig);
-                    if ft == fe && ft == *orig {
-                        continue;
+                for i in sorted_unique(&self.meta_written[meta_mark..]) {
+                    let (ft, fe) = (out.meta[i], se.meta[i]);
+                    for k in 0..3 {
+                        if ft[k] != fe[k] {
+                            out.meta[i][k] = self.ctx.tite(cond, ft[k], fe[k]);
+                        }
                     }
-                    let mut merged = *orig;
-                    for i in 0..3 {
-                        merged[i] = if ft[i] != fe[i] {
-                            self.ctx.tite(cond, ft[i], fe[i])
-                        } else {
-                            ft[i]
-                        };
-                    }
-                    meta.insert(p, merged);
                 }
-                SymState { ok, fs, meta }
+                out
             }
         }
     }
@@ -471,8 +457,7 @@ impl Encoder {
             self.ctx.not(iff)
         };
         let mut some_path_differs = Vec::new();
-        for (&p, &ta) in &a.fs {
-            let tb = *b.fs.get(&p).expect("states share a domain");
+        for (&ta, &tb) in a.fs.iter().zip(&b.fs) {
             if ta != tb {
                 some_path_differs.push(self.ctx.neq_terms(ta, tb));
             }
@@ -480,18 +465,18 @@ impl Encoder {
         // Metadata is only observable while the path exists: removal
         // resets the tracked fields to `Unmanaged`, and two absent paths
         // are indistinguishable regardless of stale field terms.
-        for (&p, fa) in &a.meta {
-            let fb = b.meta.get(&p).expect("states share a domain");
+        for (i, (fa, fb)) in a.meta.iter().zip(&b.meta).enumerate() {
             let mut field_diffs = Vec::new();
-            for i in 0..3 {
-                if fa[i] != fb[i] {
-                    field_diffs.push(self.ctx.neq_terms(fa[i], fb[i]));
+            for k in 0..3 {
+                if fa[k] != fb[k] {
+                    field_diffs.push(self.ctx.neq_terms(fa[k], fb[k]));
                 }
             }
             if field_diffs.is_empty() {
                 continue;
             }
             let any_field = self.ctx.or(field_diffs);
+            let p = self.meta_paths[i];
             let dne_a = self.is_dne(a, p);
             let dne_b = self.is_dne(b, p);
             let exists_a = self.ctx.not(dne_a);
@@ -509,7 +494,7 @@ impl Encoder {
     /// interpreting the given symbolic state (typically the initial one).
     pub fn decode_state(&mut self, model: &ModelView, state: &SymState) -> FileSystem {
         let mut out = FileSystem::new();
-        for (&p, &t) in &state.fs {
+        for (&p, &t) in self.paths.iter().zip(&state.fs) {
             let code = model.term_value_in(&self.ctx, t);
             let decoded = match self.values.value(code) {
                 PathValue::Dne => None,
@@ -522,23 +507,31 @@ impl Encoder {
                 }
             };
             let Some(file_state) = decoded else { continue };
-            let meta = match state.meta.get(&p) {
-                Some(fields) => {
+            let meta = match self.meta_paths.binary_search(&p) {
+                Ok(i) => {
                     let mut m = Meta::UNMANAGED;
-                    for (i, field) in rehearsal_fs::MetaField::ALL.into_iter().enumerate() {
-                        let code = model.term_value_in(&self.ctx, fields[i]);
+                    for (k, field) in rehearsal_fs::MetaField::ALL.into_iter().enumerate() {
+                        let code = model.term_value_in(&self.ctx, state.meta[i][k]);
                         if let MetaValue::Set(v) = self.meta_values.value(code) {
                             m = m.with(field, v);
                         }
                     }
                     m
                 }
-                None => Meta::UNMANAGED,
+                Err(_) => Meta::UNMANAGED,
             };
             out.insert(p, file_state.with_meta(meta));
         }
         out
     }
+}
+
+/// The distinct entries of a write log, in ascending (domain) order.
+fn sorted_unique(log: &[usize]) -> Vec<usize> {
+    let mut out = log.to_vec();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 #[cfg(test)]
@@ -589,7 +582,7 @@ mod tests {
         let nok = enc.ctx.not(s1.ok);
         assert!(enc.ctx.solve(nok).is_none(), "program never errs");
         // But the final state of /a is not always Dir: a file stays a file.
-        let t = s1.fs[&a];
+        let t = enc.term_of(&s1, a);
         let dne = enc.ctx.bit(t, CODE_DNE);
         assert!(enc.ctx.solve(dne).is_none(), "/a always exists afterwards");
         let dir = enc.ctx.bit(t, CODE_DIR);
@@ -657,7 +650,8 @@ mod tests {
         let s0 = enc.initial_state();
         let s1 = enc.eval_expr(e, &s0);
         // After success, dst equals src's initial content.
-        let eq = enc.ctx.eq_terms(s1.fs[&p("/dst")], s0.fs[&p("/src")]);
+        let (dst, src) = (enc.term_of(&s1, p("/dst")), enc.term_of(&s0, p("/src")));
+        let eq = enc.ctx.eq_terms(dst, src);
         let neq = enc.ctx.not(eq);
         let bad = enc.ctx.and2(s1.ok, neq);
         assert!(enc.ctx.solve(bad).is_none());

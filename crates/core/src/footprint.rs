@@ -18,7 +18,7 @@
 
 use crate::commutativity::{accesses, Access};
 use crate::determinism::FsGraph;
-use crate::memo::ExprMemo;
+use crate::memo::{ExprMemo, SharedExprMemo};
 use rehearsal_fs::{Expr, ExprNode, FsPath, Pred, PredNode};
 use rehearsal_sync::ShardedMap;
 use std::collections::BTreeSet;
@@ -89,7 +89,7 @@ fn compute_pred_digest(p: Pred) -> u64 {
 /// trusted to mean equal structure (the same 64-bit collision model the
 /// verdict cache already uses).
 pub fn expr_digest(e: Expr) -> u64 {
-    *EXPR_DIGESTS.get_or_compute(e, || compute_expr_digest(e))
+    EXPR_DIGESTS.get_or_compute(e, || compute_expr_digest(e))
 }
 
 fn compute_expr_digest(e: Expr) -> u64 {
@@ -188,7 +188,7 @@ pub fn graph_digest(graph: &FsGraph) -> u64 {
 /// The canonical footprint of one resource's FS program: what it reads,
 /// writes, manages metadata on, and which directories' child sets it
 /// observes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Footprint {
     /// Paths the program reads (including idempotent ensure-dir checks).
     pub reads: BTreeSet<FsPath>,
@@ -257,8 +257,8 @@ impl Footprint {
     }
 }
 
-static FOOTPRINTS: ExprMemo<Footprint> =
-    ExprMemo::new("memo.footprint.hits", "memo.footprint.misses");
+static FOOTPRINTS: SharedExprMemo<Footprint> =
+    SharedExprMemo::new("memo.footprint.hits", "memo.footprint.misses");
 
 /// The memoized [`Footprint`] of `e`, derived from the shared
 /// [`accesses`] summary plus a metadata

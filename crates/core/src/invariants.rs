@@ -81,7 +81,7 @@ pub fn check_expr_invariant(
     let mut enc = Encoder::new(domain);
     let s0 = enc.initial_state();
     let out = enc.eval_expr(e, &s0);
-    let final_term = out.fs[&path];
+    let final_term = enc.term_of(&out, path);
     let satisfied = match invariant {
         Invariant::FileWithContent(_, c) => {
             let code = enc.values.code(PathValue::File(*c));

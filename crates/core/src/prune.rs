@@ -10,28 +10,34 @@
 //!   which matches the paper's reading of its own resource models ("a
 //!   resource that writes to p typically ensures that p is either placed in
 //!   a definite state or signals an error").
-//! * [`prune_path`] — the partial evaluator `P⟦·⟧` of fig. 10a: replaces
-//!   writes to the pruned path with their (residual) preconditions and
-//!   resolves subsequent reads against the tracked state.
+//! * [`prune_paths`] — the partial evaluator `P⟦·⟧` of fig. 10a,
+//!   generalised from one path to a set: one walk of the owner carries a
+//!   `Track` per pruned path, replaces every write to a pruned path with
+//!   its (residual) precondition and resolves later reads against the
+//!   tracked state. A path the walk cannot residualize leaves the set and
+//!   the owner is walked again without it.
 //!
 //! [`prune_graph`] combines them with the §4.4 side conditions: a path is
 //! pruned only when exactly one resource definitively writes it, no other
 //! resource touches it, and no resource observes it through the emptiness
-//! of its parent directory. Pruned paths become *read-only*, which the
-//! encoder exploits with a single variable per path.
+//! of its parent directory. Candidates are filtered through one inverted
+//! index from each path to the resources that access it, and each owner
+//! is rewritten by one [`prune_paths`] call for all of its candidates.
+//! Pruned paths become *read-only*, which the encoder exploits with a
+//! single variable per path.
 //!
 //! Like the access summaries, definitive-write maps depend only on
-//! structure and are memoized process-wide by hash-consed id. Pruning
-//! interns a whole new owner tree per pruned path, and all but the last
-//! of those trees are thrown away, so nothing here computes per-node
-//! path sets on a rewritten tree: the arena would keep them forever (see
-//! [`rehearsal_fs::ExprId::known_paths`]).
+//! structure and are memoized process-wide by hash-consed id. The
+//! rewritten owner is interned once per walk, and a walk is repeated only
+//! when a path drops out of the set, so nothing here computes per-node
+//! path sets on a rewritten tree: the arena would keep them for the life
+//! of the process (see [`rehearsal_fs::ExprId::known_paths`]).
 
 use crate::commutativity::accesses;
 use crate::determinism::FsGraph;
 use crate::memo::ExprMemo;
 use rehearsal_fs::{Content, Expr, ExprNode, FsPath, Pred, PredNode};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Abstract values of fig. 10b: `⊥ ⊏ dir, file(c), dne ⊏ ⊤`.
@@ -65,42 +71,78 @@ impl DefValue {
     }
 }
 
-fn dw(e: Expr, state: &mut BTreeMap<FsPath, DefValue>) {
-    match e.node() {
-        ExprNode::Skip | ExprNode::Error => {}
-        ExprNode::Mkdir(p) => {
-            state.insert(p, DefValue::Dir);
+/// The fig. 10b interpretation as one walk over a mutable map, with an
+/// undo journal so a conditional costs what its branches write rather
+/// than a copy of the whole map per branch.
+#[derive(Default)]
+struct DefWalk {
+    state: DefMap,
+    /// `(path, previous value)` for every change, newest last.
+    journal: Vec<(FsPath, Option<DefValue>)>,
+}
+
+impl DefWalk {
+    fn set(&mut self, p: FsPath, v: DefValue) {
+        let previous = self.state.insert(p, v);
+        if previous != Some(v) {
+            self.journal.push((p, previous));
         }
-        ExprNode::CreateFile(p, c) => {
-            state.insert(p, DefValue::File(c));
+    }
+
+    /// The current value of every path changed since `mark`, then undoes
+    /// those changes.
+    fn take_changes(&mut self, mark: usize) -> Vec<(FsPath, DefValue)> {
+        let mut changed: Vec<(FsPath, DefValue)> = self.journal[mark..]
+            .iter()
+            .map(|&(p, _)| (p, self.state[&p]))
+            .collect();
+        changed.sort_unstable_by_key(|&(p, _)| p);
+        changed.dedup_by_key(|&mut (p, _)| p);
+        while self.journal.len() > mark {
+            let (p, previous) = self.journal.pop().expect("journal entry");
+            match previous {
+                Some(v) => self.state.insert(p, v),
+                None => self.state.remove(&p),
+            };
         }
-        ExprNode::Rm(p) => {
-            state.insert(p, DefValue::Dne);
-        }
-        ExprNode::Cp(_, dst) => {
-            state.insert(dst, DefValue::Top);
-        }
-        ExprNode::ChMeta(p, _, _) => {
+        changed
+    }
+
+    fn walk(&mut self, e: Expr) {
+        match e.node() {
+            ExprNode::Skip | ExprNode::Error => {}
+            ExprNode::Mkdir(p) => self.set(p, DefValue::Dir),
+            ExprNode::CreateFile(p, c) => self.set(p, DefValue::File(c)),
+            ExprNode::Rm(p) => self.set(p, DefValue::Dne),
+            ExprNode::Cp(_, dst) => self.set(dst, DefValue::Top),
             // The path's existence/content is untouched but its metadata
             // changed: the final state is not one of the fig. 10b points,
             // so it is indeterminate — which also keeps metadata-managed
             // paths out of the pruning candidate set.
-            state.insert(p, DefValue::Top);
-        }
-        ExprNode::Seq(a, b) => {
-            dw(a, state);
-            dw(b, state);
-        }
-        ExprNode::If(_, a, b) => {
-            let mut sa = state.clone();
-            let mut sb = state.clone();
-            dw(a, &mut sa);
-            dw(b, &mut sb);
-            let keys: BTreeSet<FsPath> = sa.keys().chain(sb.keys()).copied().collect();
-            for p in keys {
-                let va = sa.get(&p).copied().unwrap_or(DefValue::Bot);
-                let vb = sb.get(&p).copied().unwrap_or(DefValue::Bot);
-                state.insert(p, va.join(vb));
+            ExprNode::ChMeta(p, _, _) => self.set(p, DefValue::Top),
+            ExprNode::Seq(a, b) => {
+                self.walk(a);
+                self.walk(b);
+            }
+            ExprNode::If(_, a, b) => {
+                let mark = self.journal.len();
+                self.walk(a);
+                let on_a = self.take_changes(mark);
+                self.walk(b);
+                let on_b = self.take_changes(mark);
+                let value_in = |changes: &[(FsPath, DefValue)], p: FsPath, before: DefValue| {
+                    changes
+                        .binary_search_by_key(&p, |&(q, _)| q)
+                        .map_or(before, |k| changes[k].1)
+                };
+                let mut changed: Vec<FsPath> = on_a.iter().chain(&on_b).map(|&(p, _)| p).collect();
+                changed.sort_unstable();
+                changed.dedup();
+                for p in changed {
+                    let before = self.state.get(&p).copied().unwrap_or(DefValue::Bot);
+                    let joined = value_in(&on_a, p, before).join(value_in(&on_b, p, before));
+                    self.set(p, joined);
+                }
             }
         }
     }
@@ -111,14 +153,14 @@ type DefMap = BTreeMap<FsPath, DefValue>;
 /// The definitive-write map of an expression (fig. 10b), memoized
 /// process-wide by hash-consed id.
 pub fn definitive_writes(e: Expr) -> Arc<DefMap> {
-    static MEMO: ExprMemo<DefMap> = ExprMemo::new(
+    static MEMO: ExprMemo<Arc<DefMap>> = ExprMemo::new(
         "memo.definitive_writes.hits",
         "memo.definitive_writes.misses",
     );
     MEMO.get_or_compute(e, || {
-        let mut state = BTreeMap::new();
-        dw(e, &mut state);
-        state
+        let mut walk = DefWalk::default();
+        walk.walk(e);
+        Arc::new(walk.state)
     })
 }
 
@@ -176,70 +218,8 @@ fn parent_dir_pred(p: FsPath) -> Pred {
     }
 }
 
-/// Partially evaluates predicates with respect to the pruned path.
-/// Returns `Err(())` when the predicate observes `p` in a way we cannot
-/// residualize (`emptydir?` of `p` itself after a write).
-fn prune_pred(pred: Pred, p: FsPath, track: Track) -> Result<Pred, ()> {
-    match pred.node() {
-        PredNode::True | PredNode::False => Ok(pred),
-        PredNode::DoesNotExist(q) if q == p => {
-            if track == Track::Ambiguous {
-                return Err(());
-            }
-            match decide(track, WrittenState::Dne) {
-                Some(true) => Ok(Pred::TRUE),
-                Some(false) => Ok(Pred::FALSE),
-                None => Ok(pred), // reads the initial value
-            }
-        }
-        PredNode::IsFile(q) if q == p => {
-            if track == Track::Ambiguous {
-                return Err(());
-            }
-            match decide(track, WrittenState::File) {
-                Some(true) => Ok(Pred::TRUE),
-                Some(false) => Ok(Pred::FALSE),
-                None => Ok(pred),
-            }
-        }
-        PredNode::IsDir(q) if q == p => {
-            if track == Track::Ambiguous {
-                return Err(());
-            }
-            match decide(track, WrittenState::Dir) {
-                Some(true) => Ok(Pred::TRUE),
-                Some(false) => Ok(Pred::FALSE),
-                None => Ok(pred),
-            }
-        }
-        PredNode::IsEmptyDir(q) if q == p => {
-            if track == Track::Ambiguous {
-                return Err(());
-            }
-            // Emptiness depends on children we are not tracking; only safe
-            // when we can decide p is not a directory at all.
-            match decide(track, WrittenState::Dir) {
-                Some(false) => Ok(Pred::FALSE),
-                _ => match track {
-                    Track::Initial { .. } => Ok(pred),
-                    Track::Written(_) | Track::Ambiguous => Err(()),
-                },
-            }
-        }
-        PredNode::MetaIs(q, _, _) if q == p => {
-            // Metadata of the pruned path cannot be residualized.
-            Err(())
-        }
-        PredNode::DoesNotExist(_)
-        | PredNode::IsFile(_)
-        | PredNode::IsDir(_)
-        | PredNode::IsEmptyDir(_)
-        | PredNode::MetaIs(_, _, _) => Ok(pred),
-        PredNode::And(a, b) => Ok(prune_pred(a, p, track)?.and(prune_pred(b, p, track)?)),
-        PredNode::Or(a, b) => Ok(prune_pred(a, p, track)?.or(prune_pred(b, p, track)?)),
-        PredNode::Not(a) => Ok(prune_pred(a, p, track)?.not()),
-    }
-}
+#[cfg(test)]
+mod path_fold;
 
 /// Refines the tracked initial-value set by a guard known to be true
 /// (`polarity = true`) or false.
@@ -298,165 +278,335 @@ fn refine(track: Track, pred: Pred, p: FsPath, polarity: bool) -> Track {
     }
 }
 
-fn prune_rec(e: Expr, p: FsPath, track: Track) -> Result<(Expr, Track), ()> {
-    match e.node() {
-        ExprNode::Skip | ExprNode::Error => Ok((e, track)),
-        ExprNode::Mkdir(q) if q == p => {
-            if track == Track::Ambiguous {
-                return Err(());
-            }
-            let pre_self = match decide(track, WrittenState::Dne) {
-                Some(true) => Pred::TRUE,
-                Some(false) => Pred::FALSE,
-                None => Pred::does_not_exist(p),
-            };
-            let pre = pre_self.and(parent_dir_pred(p));
-            Ok((
-                Expr::if_(pre, Expr::SKIP, Expr::ERROR),
-                Track::Written(WrittenState::Dir),
-            ))
+/// One walk of [`prune_paths`]: a [`Track`] per pruned path, an undo
+/// journal so a conditional's branches cost only the tracks they change,
+/// and the paths the walk could not residualize.
+struct Walk<'a> {
+    /// The pruned paths, sorted.
+    paths: &'a [FsPath],
+    tracks: Vec<Track>,
+    /// `(index, previous track)` for every track change, newest last.
+    journal: Vec<(usize, Track)>,
+    failed: Vec<bool>,
+}
+
+impl Walk<'_> {
+    /// The index of `q` if it is pruned and has not failed.
+    fn index(&self, q: FsPath) -> Option<usize> {
+        let i = self.paths.binary_search(&q).ok()?;
+        (!self.failed[i]).then_some(i)
+    }
+
+    fn set(&mut self, i: usize, track: Track) {
+        if self.tracks[i] != track {
+            self.journal.push((i, self.tracks[i]));
+            self.tracks[i] = track;
         }
-        ExprNode::CreateFile(q, _) if q == p => {
-            if track == Track::Ambiguous {
-                return Err(());
-            }
-            let pre_self = match decide(track, WrittenState::Dne) {
-                Some(true) => Pred::TRUE,
-                Some(false) => Pred::FALSE,
-                None => Pred::does_not_exist(p),
-            };
-            let pre = pre_self.and(parent_dir_pred(p));
-            Ok((
-                Expr::if_(pre, Expr::SKIP, Expr::ERROR),
-                Track::Written(WrittenState::File),
-            ))
+    }
+
+    /// The current track of every path changed since `mark`, then undoes
+    /// those changes.
+    fn take_changes(&mut self, mark: usize) -> Vec<(usize, Track)> {
+        let mut changed: Vec<(usize, Track)> = self.journal[mark..]
+            .iter()
+            .map(|&(i, _)| (i, self.tracks[i]))
+            .collect();
+        changed.sort_unstable_by_key(|&(i, _)| i);
+        changed.dedup_by_key(|&mut (i, _)| i);
+        while self.journal.len() > mark {
+            let (i, previous) = self.journal.pop().expect("journal entry");
+            self.tracks[i] = previous;
         }
-        ExprNode::Rm(q) if q == p => {
-            if track == Track::Ambiguous {
-                return Err(());
+        changed
+    }
+
+    /// A pruned write to `q` would be read back through `dir?(q)` by an
+    /// operation on a child of `q`: safe only while `q` still holds its
+    /// initial value (which the read-only encoding reads), so otherwise
+    /// `q` leaves the set.
+    fn child_write(&mut self, q: FsPath) {
+        if let Some(i) = q.parent().and_then(|parent| self.index(parent)) {
+            if !matches!(self.tracks[i], Track::Initial { .. }) {
+                self.failed[i] = true;
             }
-            // Only safe when the path is certainly a file here (emptiness
-            // of a directory depends on untracked children).
-            let pre = match decide(track, WrittenState::File) {
-                Some(true) => Pred::TRUE,
-                _ => match track {
-                    Track::Initial { dir: false, .. } => {
-                        // file or dne: rm succeeds iff it is a file.
-                        match decide(track, WrittenState::Dne) {
-                            Some(false) => Pred::TRUE,
-                            _ => Pred::is_file(p),
-                        }
+        }
+    }
+
+    /// The index of `q` if it is pruned and its track is not ambiguous;
+    /// an ambiguous track fails the path.
+    fn consult(&mut self, q: FsPath) -> Option<usize> {
+        let i = self.index(q)?;
+        if self.tracks[i] == Track::Ambiguous {
+            self.failed[i] = true;
+            return None;
+        }
+        Some(i)
+    }
+
+    /// Partially evaluates a predicate against the tracked paths.
+    fn pred(&mut self, pred: Pred) -> Pred {
+        let decided = |answer: Option<bool>| match answer {
+            Some(true) => Pred::TRUE,
+            Some(false) => Pred::FALSE,
+            None => pred, // reads the initial value
+        };
+        match pred.node() {
+            PredNode::True | PredNode::False => pred,
+            PredNode::DoesNotExist(q) | PredNode::IsFile(q) | PredNode::IsDir(q) => {
+                let Some(i) = self.consult(q) else {
+                    return pred;
+                };
+                let wants = match pred.node() {
+                    PredNode::DoesNotExist(_) => WrittenState::Dne,
+                    PredNode::IsFile(_) => WrittenState::File,
+                    _ => WrittenState::Dir,
+                };
+                decided(decide(self.tracks[i], wants))
+            }
+            PredNode::IsEmptyDir(q) => {
+                let Some(i) = self.consult(q) else {
+                    return pred;
+                };
+                // Emptiness depends on children we are not tracking; only
+                // safe when `q` is certainly not a directory, or still
+                // holds its initial value.
+                let track = self.tracks[i];
+                match decide(track, WrittenState::Dir) {
+                    Some(false) => Pred::FALSE,
+                    _ if matches!(track, Track::Initial { .. }) => pred,
+                    _ => {
+                        self.failed[i] = true;
+                        pred
                     }
-                    _ => return Err(()),
-                },
-            };
-            Ok((
-                Expr::if_(pre, Expr::SKIP, Expr::ERROR),
-                Track::Written(WrittenState::Dne),
-            ))
-        }
-        ExprNode::Mkdir(q) | ExprNode::CreateFile(q, _) if q.parent() == Some(p) => {
-            // The operation implicitly reads `dir?(p)`. Before any pruned
-            // write this is the initial value (consistent with the
-            // read-only encoding); after a pruned write it would read a
-            // stale value, so pruning must be abandoned.
-            match track {
-                Track::Initial { .. } => Ok((e, track)),
-                _ => Err(()),
-            }
-        }
-        ExprNode::Mkdir(_) | ExprNode::CreateFile(_, _) | ExprNode::Rm(_) => Ok((e, track)),
-        ExprNode::ChMeta(q, _, _) => {
-            if q == p {
-                // A metadata write to the pruned path cannot be replaced
-                // by a precondition (the metadata itself is the effect).
-                return Err(());
-            }
-            Ok((e, track))
-        }
-        ExprNode::Cp(src, dst) => {
-            if src == p || dst == p {
-                // Copying content to or from the pruned path cannot be
-                // residualized.
-                return Err(());
-            }
-            if dst.parent() == Some(p) && !matches!(track, Track::Initial { .. }) {
-                return Err(());
-            }
-            Ok((e, track))
-        }
-        ExprNode::Seq(a, b) => {
-            let (ea, ta) = prune_rec(a, p, track)?;
-            let (eb, tb) = prune_rec(b, p, ta)?;
-            Ok((ea.seq(eb), tb))
-        }
-        ExprNode::If(pred, then_, else_) => {
-            let residual_pred = prune_pred(pred, p, track)?;
-            match residual_pred {
-                Pred::TRUE => prune_rec(then_, p, refine(track, pred, p, true)),
-                Pred::FALSE => prune_rec(else_, p, refine(track, pred, p, false)),
-                rp => {
-                    let (et, tt) = prune_rec(then_, p, refine(track, pred, p, true))?;
-                    let (ee, te) = prune_rec(else_, p, refine(track, pred, p, false))?;
-                    // A branch that halts with err contributes no state.
-                    let track_out = if et == Expr::ERROR {
-                        te
-                    } else if ee == Expr::ERROR || tt == te {
-                        tt
-                    } else {
-                        // Branches disagree about p's state: safe to carry
-                        // on, but any later operation that consults p will
-                        // abort pruning.
-                        Track::Ambiguous
-                    };
-                    Ok((Expr::if_(rp, et, ee), track_out))
                 }
             }
+            PredNode::MetaIs(q, _, _) => {
+                // Metadata of a pruned path cannot be residualized.
+                if let Some(i) = self.index(q) {
+                    self.failed[i] = true;
+                }
+                pred
+            }
+            PredNode::And(a, b) => self.pred(a).and(self.pred(b)),
+            PredNode::Or(a, b) => self.pred(a).or(self.pred(b)),
+            PredNode::Not(a) => self.pred(a).not(),
+        }
+    }
+
+    /// Narrows the track of the path a guard tests, if it is pruned.
+    fn refine(&mut self, pred: Pred, polarity: bool) {
+        let mut atom = pred;
+        while let PredNode::Not(inner) = atom.node() {
+            atom = inner;
+        }
+        let (PredNode::DoesNotExist(q) | PredNode::IsFile(q) | PredNode::IsDir(q)) = atom.node()
+        else {
+            return;
+        };
+        if let Some(i) = self.index(q) {
+            self.set(i, refine(self.tracks[i], pred, q, polarity));
+        }
+    }
+
+    /// The residual of a pruned write to `self.paths[i]`, given the
+    /// precondition the path itself must meet.
+    fn residual(&mut self, i: usize, pre_self: Pred, now: WrittenState) -> Expr {
+        self.set(i, Track::Written(now));
+        let pre = pre_self.and(parent_dir_pred(self.paths[i]));
+        Expr::if_(pre, Expr::SKIP, Expr::ERROR)
+    }
+
+    fn expr(&mut self, e: Expr) -> Expr {
+        match e.node() {
+            ExprNode::Skip | ExprNode::Error => e,
+            ExprNode::Mkdir(q) | ExprNode::CreateFile(q, _) => {
+                self.child_write(q);
+                let Some(i) = self.consult(q) else {
+                    return e;
+                };
+                let pre_self = match decide(self.tracks[i], WrittenState::Dne) {
+                    Some(true) => Pred::TRUE,
+                    Some(false) => Pred::FALSE,
+                    None => Pred::does_not_exist(q),
+                };
+                let now = match e.node() {
+                    ExprNode::Mkdir(_) => WrittenState::Dir,
+                    _ => WrittenState::File,
+                };
+                self.residual(i, pre_self, now)
+            }
+            ExprNode::Rm(q) => {
+                let Some(i) = self.consult(q) else {
+                    return e;
+                };
+                // Only safe when the path is certainly a file or absent
+                // here (emptiness of a directory depends on untracked
+                // children).
+                let track = self.tracks[i];
+                let pre_self = match (decide(track, WrittenState::File), track) {
+                    (Some(true), _) => Pred::TRUE,
+                    (_, Track::Initial { dir: false, .. }) => {
+                        match decide(track, WrittenState::Dne) {
+                            Some(false) => Pred::TRUE,
+                            _ => Pred::is_file(q),
+                        }
+                    }
+                    _ => {
+                        self.failed[i] = true;
+                        return e;
+                    }
+                };
+                self.set(i, Track::Written(WrittenState::Dne));
+                Expr::if_(pre_self, Expr::SKIP, Expr::ERROR)
+            }
+            ExprNode::ChMeta(q, _, _) => {
+                // A metadata write cannot be replaced by a precondition
+                // (the metadata itself is the effect).
+                if let Some(i) = self.index(q) {
+                    self.failed[i] = true;
+                }
+                e
+            }
+            ExprNode::Cp(src, dst) => {
+                // Copying content to or from a pruned path cannot be
+                // residualized.
+                for q in [src, dst] {
+                    if let Some(i) = self.index(q) {
+                        self.failed[i] = true;
+                    }
+                }
+                self.child_write(dst);
+                e
+            }
+            ExprNode::Seq(a, b) => {
+                let a = self.expr(a);
+                a.seq(self.expr(b))
+            }
+            ExprNode::If(pred, then_, else_) => match self.pred(pred) {
+                Pred::TRUE => {
+                    self.refine(pred, true);
+                    self.expr(then_)
+                }
+                Pred::FALSE => {
+                    self.refine(pred, false);
+                    self.expr(else_)
+                }
+                residual => {
+                    let mark = self.journal.len();
+                    self.refine(pred, true);
+                    let then_out = self.expr(then_);
+                    let then_tracks = self.take_changes(mark);
+                    self.refine(pred, false);
+                    let else_out = self.expr(else_);
+                    let else_tracks = self.take_changes(mark);
+                    self.merge(&then_tracks, then_out, &else_tracks, else_out);
+                    Expr::if_(residual, then_out, else_out)
+                }
+            },
+        }
+    }
+
+    /// Joins the tracks two branches left behind. A branch that halts
+    /// with err contributes no state; branches that disagree about a path
+    /// leave it ambiguous, so any later operation that consults it fails
+    /// the path.
+    fn merge(
+        &mut self,
+        then_tracks: &[(usize, Track)],
+        then_out: Expr,
+        else_tracks: &[(usize, Track)],
+        else_out: Expr,
+    ) {
+        let track_in = |changes: &[(usize, Track)], i: usize, before: Track| {
+            changes
+                .binary_search_by_key(&i, |&(j, _)| j)
+                .map_or(before, |k| changes[k].1)
+        };
+        let mut changed: Vec<usize> = then_tracks
+            .iter()
+            .chain(else_tracks)
+            .map(|&(i, _)| i)
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        for i in changed {
+            let before = self.tracks[i];
+            let on_then = track_in(then_tracks, i, before);
+            let on_else = track_in(else_tracks, i, before);
+            let after = if then_out == Expr::ERROR {
+                on_else
+            } else if else_out == Expr::ERROR || on_then == on_else {
+                on_then
+            } else {
+                Track::Ambiguous
+            };
+            self.set(i, after);
         }
     }
 }
 
-/// `prune(p, e)` (fig. 10a): eliminates writes to `p`, preserving `e`'s
-/// error behavior and its effect on all other paths. Returns `None` when
-/// the expression uses `p` in a shape the partial evaluator cannot handle
-/// (e.g. `cp` through `p`); callers simply skip pruning that path.
-pub fn prune_path(e: Expr, p: FsPath) -> Option<Expr> {
-    prune_path_with(e, p, writes_path)
-}
-
-/// [`prune_path`] with the final "no write to `p` survives" check
-/// supplied by the caller (tests pass a reference implementation).
-fn prune_path_with(e: Expr, p: FsPath, writes: fn(Expr, FsPath) -> bool) -> Option<Expr> {
-    let initial = Track::Initial {
-        dne: true,
-        file: true,
-        dir: true,
-    };
-    let (out, _) = prune_rec(e, p, initial).ok()?;
-    // Defensive: no write to p may survive.
-    if writes(out, p) {
-        return None;
-    }
-    Some(out)
-}
-
-fn writes_path(e: Expr, p: FsPath) -> bool {
-    // Cheap pre-filter via a per-node path set that already exists: if
-    // `p` is not mentioned at all, it is certainly not written. `e` is
-    // usually a freshly pruned tree that the next pruned path replaces,
-    // so computing sets here would pin one on each of its new nodes for
-    // the life of the process; without a set, the walk decides.
-    if e.known_paths().is_some_and(|paths| !paths.contains(&p)) {
-        return false;
-    }
+/// Whether `e` writes any of `paths` (sorted). `e` is a freshly pruned
+/// tree, so no path set is computed on it: the walk decides.
+fn writes_any(e: Expr, paths: &[FsPath], out: &mut BTreeSet<FsPath>) {
     match e.node() {
-        ExprNode::Skip | ExprNode::Error => false,
-        ExprNode::Mkdir(q) | ExprNode::CreateFile(q, _) | ExprNode::Rm(q) => q == p,
-        ExprNode::ChMeta(q, _, _) => q == p,
-        ExprNode::Cp(_, dst) => dst == p,
-        ExprNode::Seq(a, b) => writes_path(a, p) || writes_path(b, p),
-        ExprNode::If(_, a, b) => writes_path(a, p) || writes_path(b, p),
+        ExprNode::Skip | ExprNode::Error => {}
+        ExprNode::Mkdir(q) | ExprNode::CreateFile(q, _) | ExprNode::Rm(q) => {
+            if paths.binary_search(&q).is_ok() {
+                out.insert(q);
+            }
+        }
+        ExprNode::ChMeta(q, _, _) | ExprNode::Cp(_, q) => {
+            if paths.binary_search(&q).is_ok() {
+                out.insert(q);
+            }
+        }
+        ExprNode::Seq(a, b) | ExprNode::If(_, a, b) => {
+            writes_any(a, paths, out);
+            writes_any(b, paths, out);
+        }
     }
+}
+
+/// `prune(S, e)` (fig. 10a, over a set of paths): eliminates the writes to
+/// every path of `set` that `e` allows, preserving `e`'s error behavior
+/// and its effect on all other paths, in one walk per round.
+///
+/// A path the walk cannot residualize (e.g. `cp` through it, or a read
+/// after branches disagreed about it) leaves the set, and `e` is walked
+/// again without it, since the walk may have decided conditionals on
+/// that path's track. Returns the rewritten expression and the paths
+/// actually pruned.
+pub fn prune_paths(e: Expr, set: &BTreeSet<FsPath>) -> (Expr, BTreeSet<FsPath>) {
+    let mut paths: Vec<FsPath> = set.iter().copied().collect();
+    while !paths.is_empty() {
+        rehearsal_trace::counter_add("prune.walks", 1);
+        let initial = Track::Initial {
+            dne: true,
+            file: true,
+            dir: true,
+        };
+        let mut walk = Walk {
+            paths: &paths,
+            tracks: vec![initial; paths.len()],
+            journal: Vec::new(),
+            failed: vec![false; paths.len()],
+        };
+        let out = walk.expr(e);
+        let failed = walk.failed;
+        if failed.contains(&true) {
+            let mut keep = failed.iter().map(|&f| !f);
+            paths.retain(|_| keep.next().expect("one flag per path"));
+            continue;
+        }
+        // Defensive: no write to a pruned path may survive.
+        let mut survivors = BTreeSet::new();
+        writes_any(out, &paths, &mut survivors);
+        if survivors.is_empty() {
+            return (out, paths.into_iter().collect());
+        }
+        paths.retain(|p| !survivors.contains(p));
+    }
+    (e, BTreeSet::new())
 }
 
 /// Applies pruning across a graph (paper §4.4): for every path definitively
@@ -466,65 +616,73 @@ fn writes_path(e: Expr, p: FsPath) -> bool {
 ///
 /// Returns the pruned graph and the set of read-only paths.
 pub fn prune_graph(graph: &FsGraph) -> (FsGraph, BTreeSet<FsPath>) {
-    prune_graph_with(graph, writes_path)
-}
-
-fn prune_graph_with(
-    graph: &FsGraph,
-    writes: fn(Expr, FsPath) -> bool,
-) -> (FsGraph, BTreeSet<FsPath>) {
     let defs: Vec<Arc<DefMap>> = graph.exprs.iter().map(|&e| definitive_writes(e)).collect();
     let summaries: Vec<_> = graph.exprs.iter().map(|&e| accesses(e)).collect();
 
-    // Candidate paths → owning resource.
-    let mut candidates: BTreeMap<FsPath, usize> = BTreeMap::new();
-    for (i, d) in defs.iter().enumerate() {
+    // The inverted index: each path → the resources that write or access
+    // it, and → the resources that observe its children.
+    let mut touched_by: HashMap<FsPath, Vec<usize>> = HashMap::new();
+    let mut children_observed_by: HashMap<FsPath, Vec<usize>> = HashMap::new();
+    for (i, (d, s)) in defs.iter().zip(&summaries).enumerate() {
+        let written = d
+            .iter()
+            .filter(|(_, &v)| v != DefValue::Bot)
+            .map(|(&p, _)| p);
+        let accessed = s
+            .touched()
+            .filter(|&(_, a)| a != crate::commutativity::Access::Bot)
+            .map(|(p, _)| p);
+        for p in written.chain(accessed) {
+            let by = touched_by.entry(p).or_default();
+            if by.last() != Some(&i) {
+                by.push(i);
+            }
+        }
+        for &p in s.observed_dirs() {
+            children_observed_by.entry(p).or_default().push(i);
+        }
+    }
+
+    // Candidates: a path the owner definitively writes, untouched by every
+    // other resource (so no other writes it either), its own children
+    // unobserved by every other, and its parent's emptiness unobserved by
+    // anyone (including the owner, conservatively).
+    let only =
+        |by: Option<&Vec<usize>>, owner: usize| by.is_none_or(|rs| rs.iter().all(|&j| j == owner));
+    let mut owned: Vec<BTreeSet<FsPath>> = vec![BTreeSet::new(); graph.exprs.len()];
+    for (owner, d) in defs.iter().enumerate() {
         for (&p, &v) in d.iter() {
-            if v.is_definitive() {
-                candidates.entry(p).or_insert(i);
+            if !v.is_definitive() || p == FsPath::root() {
+                continue;
+            }
+            let parent_observed = p
+                .parent()
+                .is_some_and(|parent| children_observed_by.contains_key(&parent));
+            if only(touched_by.get(&p), owner)
+                && only(children_observed_by.get(&p), owner)
+                && !parent_observed
+            {
+                owned[owner].insert(p);
             }
         }
     }
+
     let mut out = graph.clone();
     let mut read_only = BTreeSet::new();
-    'paths: for (&p, &owner) in &candidates {
-        if p == FsPath::root() {
+    for (owner, set) in owned.iter().enumerate() {
+        if set.is_empty() {
             continue;
         }
-        // Definitively written by exactly one resource; untouched by all
-        // others; parent emptiness unobserved by anyone (including the
-        // owner, conservatively).
-        for (j, d) in defs.iter().enumerate() {
-            if j != owner && d.get(&p).copied().unwrap_or(DefValue::Bot) != DefValue::Bot {
-                continue 'paths;
-            }
-        }
-        for (j, s) in summaries.iter().enumerate() {
-            if j != owner && s.access(p) != crate::commutativity::Access::Bot {
-                continue 'paths;
-            }
-            if let Some(parent) = p.parent() {
-                if s.observed_dirs().contains(&parent) {
-                    continue 'paths;
-                }
-            }
-            if s.observed_dirs().contains(&p) && j != owner {
-                continue 'paths;
-            }
-        }
-        match prune_path_with(out.exprs[owner], p, writes) {
-            Some(rewritten) => {
-                out.exprs[owner] = rewritten;
-                read_only.insert(p);
-            }
-            None => continue,
-        }
+        let (rewritten, pruned) = prune_paths(out.exprs[owner], set);
+        out.exprs[owner] = rewritten;
+        read_only.extend(pruned);
     }
     (out, read_only)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::path_fold::{prune_graph_by_path, prune_path, writes_path};
     use super::*;
     use rehearsal_fs::{check_equiv_brute_force, eval, FileState, FileSystem};
 
@@ -703,24 +861,6 @@ mod tests {
         assert!(writes_path(pruned.exprs[0], shared));
     }
 
-    /// The path-set pre-filter `writes_path` used before it stopped
-    /// forcing sets on fresh trees: the reference the pruned graphs are
-    /// compared against.
-    fn writes_path_forcing_sets(e: Expr, p: FsPath) -> bool {
-        if !e.paths().contains(&p) {
-            return false;
-        }
-        match e.node() {
-            ExprNode::Skip | ExprNode::Error => false,
-            ExprNode::Mkdir(q) | ExprNode::CreateFile(q, _) | ExprNode::Rm(q) => q == p,
-            ExprNode::ChMeta(q, _, _) => q == p,
-            ExprNode::Cp(_, dst) => dst == p,
-            ExprNode::Seq(a, b) | ExprNode::If(_, a, b) => {
-                writes_path_forcing_sets(a, p) || writes_path_forcing_sets(b, p)
-            }
-        }
-    }
-
     #[test]
     fn pruning_leaves_no_path_set_on_the_rewritten_tree() {
         // Paths unique to this test, so no other test can have interned
@@ -732,15 +872,14 @@ mod tests {
             .seq(Expr::create_file(m, Content::intern("known-paths-marker")));
         assert!(e.paths().contains(&f));
         assert!(e.known_paths().is_some(), "the input's sets are known");
-        let pruned = prune_path(e, f).expect("prunable");
+        let (pruned, read_only) = prune_paths(e, &BTreeSet::from([f, m]));
+        assert_eq!(read_only, BTreeSet::from([f, m]));
         assert_ne!(pruned, e);
         assert_eq!(
             pruned.known_paths(),
             None,
-            "pruning computed a path set on the throwaway tree"
+            "pruning computed a path set on the rewritten tree"
         );
-        assert!(!writes_path(pruned, f));
-        assert_eq!(pruned.known_paths(), None, "nor did the write check");
     }
 
     /// Every pinned manifest (the 19 bundled ones and the 6 metadata
@@ -772,20 +911,102 @@ mod tests {
     }
 
     #[test]
-    fn prune_graph_matches_the_set_forcing_reference_on_pinned_manifests() {
+    fn prune_graph_matches_the_path_fold_on_pinned_manifests() {
         let graphs = pinned_graphs();
         assert_eq!(graphs.len(), 25);
         let mut pruned_somewhere = false;
         for (name, graph) in &graphs {
-            // The new check first, so it cannot lean on sets the
+            // The set walk first, so it cannot lean on path sets the
             // reference computes.
             let (pruned, read_only) = prune_graph(graph);
-            let (expected, expected_read_only) = prune_graph_with(graph, writes_path_forcing_sets);
+            let (expected, expected_read_only) = prune_graph_by_path(graph);
             assert_eq!(read_only, expected_read_only, "{name}: read-only set");
             assert_eq!(pruned.exprs, expected.exprs, "{name}: pruned handles");
             pruned_somewhere |= !read_only.is_empty();
         }
         assert!(pruned_somewhere, "the suite exercises pruning");
+    }
+
+    /// A small deterministic generator (splitmix64) for seeded graphs.
+    struct Prng(u64);
+
+    impl Prng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// One random resource-model idiom over `ps`, sometimes wrapped in a
+    /// guard on another path, so owners mix pruned writes, reads after
+    /// them, copies and conditionals that branches decide.
+    fn random_idiom(rng: &mut Prng, ps: &[FsPath], cs: &[Content]) -> Expr {
+        let q = ps[rng.below(ps.len())];
+        let c = cs[rng.below(cs.len())];
+        let body = match rng.below(9) {
+            0 => ensure_dir(q),
+            1 => overwrite(q, c),
+            2 => Expr::if_(
+                Pred::does_not_exist(q),
+                Expr::create_file(q, c),
+                Expr::if_(Pred::is_file(q), Expr::SKIP, Expr::ERROR),
+            ),
+            3 => Expr::if_(
+                Pred::is_file(q),
+                Expr::rm(q),
+                Expr::if_(Pred::does_not_exist(q), Expr::SKIP, Expr::ERROR),
+            ),
+            4 => Expr::mkdir(q),
+            5 => Expr::create_file(q, c),
+            6 => Expr::rm(q),
+            7 => Expr::cp(ps[rng.below(ps.len())], q),
+            _ => Expr::if_(Pred::is_dir(q), Expr::SKIP, Expr::ERROR),
+        };
+        if rng.below(4) == 0 {
+            let guard = ps[rng.below(ps.len())];
+            Expr::if_(Pred::is_file(guard), body, Expr::SKIP)
+        } else {
+            body
+        }
+    }
+
+    /// Seeded graphs of one to three owners, each a sequence of one to
+    /// four idioms: the set walk prunes exactly the paths the per-path
+    /// fold prunes, into expressions brute force finds equal on every
+    /// filesystem over the paths.
+    #[test]
+    fn prune_graph_matches_the_path_fold_on_random_graphs() {
+        let ps: Vec<FsPath> = ["/r", "/r/f", "/r/g", "/s", "/s/h"]
+            .iter()
+            .map(|s| p(s))
+            .collect();
+        let cs = [Content::intern("r1"), Content::intern("r2")];
+        let mut pruned_paths = 0;
+        for seed in 0..400 {
+            let mut rng = Prng(seed);
+            let n = 1 + rng.below(3);
+            let exprs: Vec<Expr> = (0..n)
+                .map(|_| {
+                    let len = 1 + rng.below(4);
+                    Expr::seq_all((0..len).map(|_| random_idiom(&mut rng, &ps, &cs)))
+                })
+                .collect();
+            let names = (0..n).map(|i| format!("r{i}")).collect();
+            let g = FsGraph::new(exprs, BTreeSet::new(), names);
+            let (pruned, read_only) = prune_graph(&g);
+            let (expected, expected_read_only) = prune_graph_by_path(&g);
+            assert_eq!(read_only, expected_read_only, "seed {seed}: read-only set");
+            for (i, (&got, &want)) in pruned.exprs.iter().zip(&expected.exprs).enumerate() {
+                if let Err(fs) = check_equiv_brute_force(got, want, &ps, &cs) {
+                    panic!("seed {seed}: owner {i} differs on {fs}:\n{got}\nvs\n{want}");
+                }
+            }
+            pruned_paths += read_only.len();
+        }
+        assert!(pruned_paths > 100, "the seeds exercise pruning");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! options fingerprint)` — the fingerprint covers analyzer version,
 //! platform, and analysis options.
 
+use crate::cache::{shared_detail, shared_diagnostics};
 use crate::json::{diagnostic_from_json, diagnostic_json, parse, Json};
 use crate::report::Verdict;
 use rehearsal_diag::Diagnostic;
@@ -30,6 +31,7 @@ use rehearsal_pkgdb::Platform;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The baseline file schema version. Bump whenever entry contents change
 /// meaning (for example the digest scheme); stale-schema lines are
@@ -50,10 +52,12 @@ pub struct BaselineEntry {
     pub graph_digest: u64,
     /// The recorded verdict.
     pub verdict: Verdict,
-    /// Human-readable verdict detail.
-    pub detail: String,
-    /// Source-anchored findings recorded at analysis time.
-    pub diagnostics: Vec<Diagnostic>,
+    /// Human-readable verdict detail (shared with the verdict-cache
+    /// entry for the same analysis).
+    pub detail: Arc<str>,
+    /// Source-anchored findings recorded at analysis time (shared like
+    /// `detail`).
+    pub diagnostics: Arc<[Diagnostic]>,
 }
 
 /// An in-memory baseline store with an optional JSONL backing file.
@@ -195,7 +199,7 @@ fn encode_entry(entry: &BaselineEntry) -> Json {
         ("options", hex(entry.options)),
         ("graph_digest", hex(entry.graph_digest)),
         ("verdict", Json::str(entry.verdict.label())),
-        ("detail", Json::str(&entry.detail)),
+        ("detail", Json::str(&*entry.detail)),
         (
             "diagnostics",
             Json::Arr(entry.diagnostics.iter().map(diagnostic_json).collect()),
@@ -213,13 +217,14 @@ fn decode_entry(json: &Json) -> Option<BaselineEntry> {
         options: from_hex(json.get("options")?)?,
         graph_digest: from_hex(json.get("graph_digest")?)?,
         verdict: Verdict::from_label(json.get("verdict")?.as_str()?)?,
-        detail: json.get("detail")?.as_str()?.to_string(),
-        diagnostics: json
-            .get("diagnostics")?
-            .as_arr()?
-            .iter()
-            .map(diagnostic_from_json)
-            .collect::<Option<Vec<_>>>()?,
+        detail: shared_detail(json.get("detail")?.as_str()?),
+        diagnostics: shared_diagnostics(
+            json.get("diagnostics")?
+                .as_arr()?
+                .iter()
+                .map(diagnostic_from_json)
+                .collect::<Option<Vec<_>>>()?,
+        ),
     })
 }
 
@@ -234,14 +239,15 @@ mod tests {
             options: 0xabcd,
             graph_digest: digest,
             verdict: Verdict::Deterministic,
-            detail: String::new(),
+            detail: "".into(),
             diagnostics: vec![Diagnostic::error("R3001", "race").with_primary(
                 rehearsal_diag::Span::new(
                     rehearsal_diag::Pos::new(1, 1),
                     rehearsal_diag::Pos::new(1, 5),
                 ),
                 "here",
-            )],
+            )]
+            .into(),
         }
     }
 
@@ -269,7 +275,7 @@ mod tests {
         // A large entry: a non-ASCII, quote- and backslash-bearing name
         // and a 32 KB detail on one line.
         let mut big = entry("big \"site\"/vérité\\😀\t.pp", 0xbeef);
-        big.detail = "détail \"€\" \\ ".repeat(2_000);
+        big.detail = "détail \"€\" \\ ".repeat(2_000).into();
         let mut store = BaselineStore::open(&path).unwrap();
         store.put(big.clone());
         store.save().unwrap();
@@ -333,7 +339,7 @@ mod tests {
         let hit = store.get("old.pp", 0xabcd).expect("legacy line loads");
         assert_eq!(hit.graph_digest, 0xfeed);
         assert_eq!(hit.verdict, Verdict::Nondeterministic);
-        assert_eq!(hit.detail, "order A succeeds, order B errors");
+        assert_eq!(&*hit.detail, "order A succeeds, order B errors");
         assert_eq!(
             store.find_by_digest(0xfeed, 0xabcd).map(|e| &e.manifest),
             Some(&"old.pp".to_string())

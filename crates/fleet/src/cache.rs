@@ -20,19 +20,23 @@ use rehearsal_pkgdb::Platform;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 /// A cached verdict (everything needed to reconstruct a report row).
+///
+/// The detail and diagnostics are shared, not copied, with the baseline
+/// pin that records the same verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedVerdict {
     /// The verdict.
     pub verdict: Verdict,
     /// Human-readable detail.
-    pub detail: String,
+    pub detail: Arc<str>,
     /// Resources in the manifest's graph.
     pub resources: usize,
     /// The source-anchored findings recorded at analysis time, so cache
     /// hits can replay per-line annotations without re-analysis.
-    pub diagnostics: Vec<Diagnostic>,
+    pub diagnostics: Arc<[Diagnostic]>,
 }
 
 /// The verdict-cache key a row was answered from or filed under, tagged
@@ -53,6 +57,26 @@ impl StoreKey {
             StoreKey::Graph(key) | StoreKey::Source(key) => key,
         }
     }
+}
+
+/// `detail` as a shared string. Every passing verdict has an empty
+/// detail, and all of them share one allocation.
+pub(crate) fn shared_detail(detail: &str) -> Arc<str> {
+    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
+    if detail.is_empty() {
+        return Arc::clone(EMPTY.get_or_init(|| Arc::from("")));
+    }
+    Arc::from(detail)
+}
+
+/// `diagnostics` as a shared slice; every verdict without findings shares
+/// one empty allocation.
+pub(crate) fn shared_diagnostics(diagnostics: Vec<Diagnostic>) -> Arc<[Diagnostic]> {
+    static EMPTY: OnceLock<Arc<[Diagnostic]>> = OnceLock::new();
+    if diagnostics.is_empty() {
+        return Arc::clone(EMPTY.get_or_init(|| Arc::from(Vec::new())));
+    }
+    Arc::from(diagnostics)
 }
 
 /// An in-memory verdict cache with an optional JSONL backing file.
@@ -265,7 +289,7 @@ fn encode_entry(key: u64, cached: &CachedVerdict) -> Json {
         ("schema", Json::num(CACHE_SCHEMA_VERSION)),
         ("key", Json::str(format!("{key:016x}"))),
         ("verdict", Json::str(cached.verdict.label())),
-        ("detail", Json::str(&cached.detail)),
+        ("detail", Json::str(&*cached.detail)),
         ("resources", Json::num(cached.resources as u32)),
         (
             "diagnostics",
@@ -284,14 +308,16 @@ fn decode_entry(entry: &Json) -> Option<(u64, CachedVerdict)> {
     }
     let key = u64::from_str_radix(entry.get("key")?.as_str()?, 16).ok()?;
     let verdict = Verdict::from_label(entry.get("verdict")?.as_str()?)?;
-    let detail = entry.get("detail")?.as_str()?.to_string();
+    let detail = shared_detail(entry.get("detail")?.as_str()?);
     let resources = entry.get("resources")?.as_u64()? as usize;
-    let diagnostics = entry
-        .get("diagnostics")?
-        .as_arr()?
-        .iter()
-        .map(diagnostic_from_json)
-        .collect::<Option<Vec<_>>>()?;
+    let diagnostics = shared_diagnostics(
+        entry
+            .get("diagnostics")?
+            .as_arr()?
+            .iter()
+            .map(diagnostic_from_json)
+            .collect::<Option<Vec<_>>>()?,
+    );
     Some((
         key,
         CachedVerdict {
@@ -359,7 +385,7 @@ mod tests {
             7,
             CachedVerdict {
                 verdict: Verdict::Nondeterministic,
-                detail: "orders diverge".to_string(),
+                detail: "orders diverge".into(),
                 resources: 3,
                 diagnostics: vec![rehearsal_diag::Diagnostic::error("R3001", "orders diverge")
                     .with_primary(
@@ -368,7 +394,8 @@ mod tests {
                             rehearsal_diag::Pos::new(2, 10),
                         ),
                         "here",
-                    )],
+                    )]
+                .into(),
             },
         );
         cache.save().unwrap();
@@ -391,9 +418,9 @@ mod tests {
             1,
             CachedVerdict {
                 verdict: Verdict::Timeout,
-                detail: String::new(),
+                detail: "".into(),
                 resources: 0,
-                diagnostics: Vec::new(),
+                diagnostics: Vec::new().into(),
             },
         );
         assert!(cache.get(1).is_none());
@@ -452,9 +479,9 @@ mod tests {
             3,
             CachedVerdict {
                 verdict: Verdict::Deterministic,
-                detail: String::new(),
+                detail: "".into(),
                 resources: 2,
-                diagnostics: Vec::new(),
+                diagnostics: Vec::new().into(),
             },
         );
         let entry = encode_entry(3, cache.get(3).unwrap());

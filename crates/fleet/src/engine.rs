@@ -13,7 +13,8 @@
 
 use crate::baseline::{BaselineEntry, BaselineStore};
 use crate::cache::{
-    graph_key, job_key, options_fingerprint, CachedVerdict, StoreKey, VerdictCache,
+    graph_key, job_key, options_fingerprint, shared_detail, shared_diagnostics, CachedVerdict,
+    StoreKey, VerdictCache,
 };
 use crate::report::{FleetReport, JobResult, ReuseCounts, Verdict};
 use crate::scheduler::run_work_stealing_with_stats;
@@ -288,6 +289,7 @@ impl FleetEngine {
                 let mut row =
                     cached_row(job.name.clone(), job.platform, &hit, StoreKey::Graph(key));
                 row.phases = lower_phases;
+                row.diagnostics = reanchored(&hit.diagnostics, diagnostics, &graph);
                 // Keep the pin in step with the graph the cache answered
                 // for: an edit and revert can leave it on the edited graph.
                 if self.state.has_baseline() && !self.state.baseline_matches(&job.name, fp, digest)
@@ -309,7 +311,7 @@ impl FleetEngine {
                     manifest: job.name.clone(),
                     platform: job.platform,
                     verdict: entry.verdict.clone(),
-                    detail: entry.detail.clone(),
+                    detail: entry.detail.to_string(),
                     resources: n,
                     millis: 0,
                     queue_ms: 0,
@@ -317,11 +319,19 @@ impl FleetEngine {
                     phases: lower_phases,
                     cached: true,
                     counters: DeterminismStats::default(),
-                    diagnostics: entry.diagnostics.clone(),
+                    diagnostics: reanchored(&entry.diagnostics, diagnostics, &graph),
                     reuse: Some(ReuseCounts::store(n)),
                     store_key: Some(StoreKey::Graph(key)),
                 };
-                self.state.cache_put(key, verdict_of(&row));
+                self.state.cache_put(
+                    key,
+                    CachedVerdict {
+                        verdict: entry.verdict.clone(),
+                        detail: Arc::clone(&entry.detail),
+                        resources: n,
+                        diagnostics: Arc::clone(&entry.diagnostics),
+                    },
+                );
                 if entry.manifest != job.name {
                     // A renamed (or moved) manifest found by digest:
                     // re-key the entry so the next lookup is direct.
@@ -525,7 +535,7 @@ fn cached_row(
         manifest,
         platform,
         verdict: hit.verdict.clone(),
-        detail: hit.detail.clone(),
+        detail: hit.detail.to_string(),
         resources: hit.resources,
         millis: 0,
         queue_ms: 0,
@@ -533,7 +543,7 @@ fn cached_row(
         phases: Vec::new(),
         cached: true,
         counters: DeterminismStats::default(),
-        diagnostics: hit.diagnostics.clone(),
+        diagnostics: hit.diagnostics.to_vec(),
         reuse,
         store_key: Some(key),
     }
@@ -556,13 +566,56 @@ pub fn stored_row(
 fn verdict_of(row: &JobResult) -> CachedVerdict {
     CachedVerdict {
         verdict: row.verdict.clone(),
-        detail: row.detail.clone(),
+        detail: shared_detail(&row.detail),
         resources: row.resources,
-        diagnostics: row.diagnostics.clone(),
+        diagnostics: shared_diagnostics(row.diagnostics.clone()),
     }
 }
 
-/// The baseline pin recording `verdict` for one manifest's graph.
+/// A stored verdict's diagnostics, re-anchored on the source that hit
+/// it. The stored spans belong to the source first analyzed, which may
+/// be laid out differently: the lowering diagnostics (parse, eval,
+/// compile) are this source's own, and each analysis diagnostic (`R3…`)
+/// moves to the spans this graph gives the resources its payload names.
+fn reanchored(
+    stored: &[Diagnostic],
+    lowering: Vec<Diagnostic>,
+    graph: &FsGraph,
+) -> Vec<Diagnostic> {
+    let span_of = |name: &str| {
+        let i = graph.names.iter().position(|n| n == name)?;
+        Some(graph.span(i))
+    };
+    let mut out = lowering;
+    for stored in stored.iter().filter(|d| d.code.starts_with("R3")) {
+        let mut d = stored.clone();
+        let named = |key: &str| {
+            let (_, name) = d.payload.iter().find(|(k, _)| k == key)?;
+            span_of(name)
+        };
+        let primary = named("resource_a")
+            .or_else(|| named("resource"))
+            .or_else(|| {
+                // A nonidempotence finding with no culprit points at the
+                // manifest's first declared resource.
+                (d.code == rehearsal_diag::codes::NONIDEMPOTENT)
+                    .then(|| graph.spans.iter().copied().find(|s| !s.is_dummy()))
+                    .flatten()
+            });
+        let secondary = named("resource_b");
+        if let (Some(label), Some(span)) = (d.primary.as_mut(), primary) {
+            label.span = span;
+        }
+        if let (Some(label), Some(span)) = (d.secondary.first_mut(), secondary) {
+            label.span = span;
+        }
+        out.push(d);
+    }
+    out
+}
+
+/// The baseline pin recording `verdict` for one manifest's graph, sharing
+/// its detail and diagnostics.
 fn pin(
     manifest: String,
     platform: Platform,
@@ -576,8 +629,8 @@ fn pin(
         options,
         graph_digest,
         verdict: verdict.verdict.clone(),
-        detail: verdict.detail.clone(),
-        diagnostics: verdict.diagnostics.clone(),
+        detail: Arc::clone(&verdict.detail),
+        diagnostics: Arc::clone(&verdict.diagnostics),
     }
 }
 

@@ -196,9 +196,9 @@ mod tests {
     fn verdict(label: &str) -> CachedVerdict {
         CachedVerdict {
             verdict: Verdict::from_label(label).unwrap(),
-            detail: String::new(),
+            detail: "".into(),
             resources: 1,
-            diagnostics: Vec::new(),
+            diagnostics: Vec::new().into(),
         }
     }
 
@@ -242,8 +242,8 @@ mod tests {
             options: 1,
             graph_digest: 2,
             verdict: Verdict::Deterministic,
-            detail: String::new(),
-            diagnostics: Vec::new(),
+            detail: "".into(),
+            diagnostics: Vec::new().into(),
         };
         let state = StateDir::in_memory();
         assert!(!state.has_baseline());

@@ -55,24 +55,13 @@ pub(crate) const SHARD_BITS: u32 = 4;
 /// Number of lock stripes in the arena.
 pub(crate) const N_SHARDS: usize = 1 << SHARD_BITS;
 
-/// One interned predicate with its memoized structural facts.
+/// One interned node with its size.
 #[derive(Debug)]
-struct PredEntry {
-    node: PredNode,
+struct Entry<N> {
+    node: N,
     /// Number of AST nodes (children are interned first, so this is
     /// computed eagerly at interning time).
     size: u64,
-    /// Lazily computed, shared set of mentioned paths.
-    paths: Option<Arc<BTreeSet<FsPath>>>,
-}
-
-/// One interned expression with its memoized structural facts.
-#[derive(Debug)]
-struct ExprEntry {
-    node: ExprNode,
-    size: u64,
-    paths: Option<Arc<BTreeSet<FsPath>>>,
-    contents: Option<Arc<BTreeSet<Content>>>,
 }
 
 /// Counters describing the arena (see [`arena_stats`]).
@@ -118,24 +107,34 @@ impl ArenaStats {
     }
 }
 
+/// One lock stripe. The lazily computed sets live in side tables keyed by
+/// shard-local index, since most nodes never need one: an entry stays the
+/// node plus its size.
 #[derive(Debug)]
-struct Shard<N, E> {
-    entries: Vec<E>,
+struct Shard<N> {
+    entries: Vec<Entry<N>>,
     /// Node → full (shard-encoded) id.
     lookup: HashMap<N, u32>,
+    /// Shared sets of mentioned paths, by local index.
+    paths: HashMap<u32, Arc<BTreeSet<FsPath>>>,
+    /// Shared sets of mentioned contents, by local index (expressions
+    /// only).
+    contents: HashMap<u32, Arc<BTreeSet<Content>>>,
 }
 
-impl<N, E> Default for Shard<N, E> {
+impl<N> Default for Shard<N> {
     fn default() -> Self {
         Shard {
             entries: Vec::new(),
             lookup: HashMap::new(),
+            paths: HashMap::new(),
+            contents: HashMap::new(),
         }
     }
 }
 
-type PredShard = Shard<PredNode, PredEntry>;
-type ExprShard = Shard<ExprNode, ExprEntry>;
+type PredShard = Shard<PredNode>;
+type ExprShard = Shard<ExprNode>;
 
 struct IrArena {
     preds: Vec<RwLock<PredShard>>,
@@ -181,27 +180,18 @@ impl IrArena {
         // hash routing, so the seeded positions are authoritative.
         for (shard, node) in [(0, PredNode::True), (1, PredNode::False)] {
             let mut guard = arena.preds[shard].write().expect("IR arena poisoned");
-            guard.entries.push(PredEntry {
-                node,
-                size: 1,
-                paths: None,
-            });
+            guard.entries.push(Entry { node, size: 1 });
             guard.lookup.insert(node, compose(shard, 0));
         }
         for (shard, node) in [(0, ExprNode::Skip), (1, ExprNode::Error)] {
             let mut guard = arena.exprs[shard].write().expect("IR arena poisoned");
-            guard.entries.push(ExprEntry {
-                node,
-                size: 1,
-                paths: None,
-                contents: None,
-            });
+            guard.entries.push(Entry { node, size: 1 });
             guard.lookup.insert(node, compose(shard, 0));
         }
         arena
     }
 
-    fn read<'a, N, E>(&'a self, lock: &'a RwLock<Shard<N, E>>) -> RwLockReadGuard<'a, Shard<N, E>> {
+    fn read<'a, N>(&'a self, lock: &'a RwLock<Shard<N>>) -> RwLockReadGuard<'a, Shard<N>> {
         match lock.try_read() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
@@ -212,10 +202,7 @@ impl IrArena {
         }
     }
 
-    fn write<'a, N, E>(
-        &'a self,
-        lock: &'a RwLock<Shard<N, E>>,
-    ) -> RwLockWriteGuard<'a, Shard<N, E>> {
+    fn write<'a, N>(&'a self, lock: &'a RwLock<Shard<N>>) -> RwLockWriteGuard<'a, Shard<N>> {
         match lock.try_write() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
@@ -266,11 +253,7 @@ impl IrArena {
             return id;
         }
         let id = compose(shard, guard.entries.len());
-        guard.entries.push(PredEntry {
-            node,
-            size,
-            paths: None,
-        });
+        guard.entries.push(Entry { node, size });
         guard.lookup.insert(node, id);
         id
     }
@@ -314,12 +297,7 @@ impl IrArena {
             return id;
         }
         let id = compose(shard, guard.entries.len());
-        guard.entries.push(ExprEntry {
-            node,
-            size,
-            paths: None,
-            contents: None,
-        });
+        guard.entries.push(Entry { node, size });
         guard.lookup.insert(node, id);
         id
     }
@@ -343,25 +321,25 @@ impl IrArena {
     /// Already-computed path set of a predicate, if any (read-only probe
     /// so the common cached case needs no exclusive lock).
     fn try_pred_paths(&self, id: u32) -> Option<Arc<BTreeSet<FsPath>>> {
-        self.read(&self.preds[shard_of(id)]).entries[local_of(id)]
+        self.read(&self.preds[shard_of(id)])
             .paths
-            .as_ref()
+            .get(&(local_of(id) as u32))
             .map(Arc::clone)
     }
 
     /// Already-computed path set of an expression, if any.
     fn try_expr_paths(&self, id: u32) -> Option<Arc<BTreeSet<FsPath>>> {
-        self.read(&self.exprs[shard_of(id)]).entries[local_of(id)]
+        self.read(&self.exprs[shard_of(id)])
             .paths
-            .as_ref()
+            .get(&(local_of(id) as u32))
             .map(Arc::clone)
     }
 
     /// Already-computed content set of an expression, if any.
     fn try_expr_contents(&self, id: u32) -> Option<Arc<BTreeSet<Content>>> {
-        self.read(&self.exprs[shard_of(id)]).entries[local_of(id)]
+        self.read(&self.exprs[shard_of(id)])
             .contents
-            .as_ref()
+            .get(&(local_of(id) as u32))
             .map(Arc::clone)
     }
 
@@ -369,38 +347,17 @@ impl IrArena {
     /// calls on the same node keep returning the same shared allocation.
     fn store_pred_paths(&self, id: u32, set: Arc<BTreeSet<FsPath>>) -> Arc<BTreeSet<FsPath>> {
         let mut guard = self.write(&self.preds[shard_of(id)]);
-        let slot = &mut guard.entries[local_of(id)].paths;
-        match slot {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                *slot = Some(Arc::clone(&set));
-                set
-            }
-        }
+        Arc::clone(guard.paths.entry(local_of(id) as u32).or_insert(set))
     }
 
     fn store_expr_paths(&self, id: u32, set: Arc<BTreeSet<FsPath>>) -> Arc<BTreeSet<FsPath>> {
         let mut guard = self.write(&self.exprs[shard_of(id)]);
-        let slot = &mut guard.entries[local_of(id)].paths;
-        match slot {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                *slot = Some(Arc::clone(&set));
-                set
-            }
-        }
+        Arc::clone(guard.paths.entry(local_of(id) as u32).or_insert(set))
     }
 
     fn store_expr_contents(&self, id: u32, set: Arc<BTreeSet<Content>>) -> Arc<BTreeSet<Content>> {
         let mut guard = self.write(&self.exprs[shard_of(id)]);
-        let slot = &mut guard.entries[local_of(id)].contents;
-        match slot {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                *slot = Some(Arc::clone(&set));
-                set
-            }
-        }
+        Arc::clone(guard.contents.entry(local_of(id) as u32).or_insert(set))
     }
 
     /// Memoized path set of a predicate, computed with an explicit stack

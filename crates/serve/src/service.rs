@@ -32,7 +32,7 @@ use rehearsal_fleet::{
 use rehearsal_lint::{lint_source, LintOptions};
 use rehearsal_pkgdb::Platform;
 use rehearsal_trace::Registry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -103,12 +103,19 @@ impl ServeOptions {
     }
 }
 
-/// One manifest's standing in the coverage rollup.
+/// What the daemon knows about one manifest name: the verdict its drift
+/// is measured against, and its coverage-rollup standing once verified.
+#[derive(Debug, Default)]
+struct NameRow {
+    pin: Option<Verdict>,
+    verified: Option<RollupRow>,
+}
+
+/// One verified manifest's standing in the coverage rollup.
 #[derive(Debug, Clone)]
 struct RollupRow {
     digest: u64,
     verdict: Verdict,
-    baseline: Option<Verdict>,
     drift: bool,
     cached: bool,
 }
@@ -140,8 +147,8 @@ pub struct Service {
     drain: CancelToken,
     stopping: AtomicBool,
     history: Option<Mutex<HistoryLog>>,
-    pins: Mutex<BTreeMap<String, (u64, Verdict)>>,
-    rollup: Mutex<BTreeMap<String, RollupRow>>,
+    /// One row per manifest name: its pin and its rollup standing.
+    names: Mutex<BTreeMap<String, NameRow>>,
     memo: Mutex<HashMap<u64, MemoEntry>>,
     wake: OnceLock<SocketAddr>,
     started: Instant,
@@ -176,11 +183,18 @@ impl Service {
         // Pins are snapshotted *before* any request runs: the engine
         // re-records baseline entries after each analysis, so reading
         // them later would compare every verdict against itself.
-        let pins: BTreeMap<String, (u64, Verdict)> = state
+        let names: BTreeMap<String, NameRow> = state
             .baseline_pins(fp)
             .into_iter()
-            .map(|(manifest, digest, verdict)| (manifest, (digest, verdict)))
+            .map(|(manifest, _, verdict)| {
+                let row = NameRow {
+                    pin: Some(verdict),
+                    verified: None,
+                };
+                (manifest, row)
+            })
             .collect();
+        let pinned = names.len();
         let service = Service {
             options,
             state: Arc::new(state),
@@ -188,8 +202,7 @@ impl Service {
             drain: CancelToken::new(),
             stopping: AtomicBool::new(false),
             history,
-            pins: Mutex::new(pins),
-            rollup: Mutex::new(BTreeMap::new()),
+            names: Mutex::new(names),
             memo: Mutex::new(HashMap::new()),
             wake: OnceLock::new(),
             started: Instant::now(),
@@ -199,10 +212,7 @@ impl Service {
             "start",
             vec![
                 ("addr", Json::str(&service.options.addr)),
-                (
-                    "pinned",
-                    Json::Num(service.pins.lock().unwrap().len() as f64),
-                ),
+                ("pinned", Json::Num(pinned as f64)),
             ],
         );
         Ok(service)
@@ -454,20 +464,26 @@ impl Service {
         let tracked = fp == self.fp && platform == self.options.platform;
         let mut drift = false;
         if tracked {
-            let pinned = {
-                let mut pins = self.pins.lock().unwrap();
-                let pinned = pins.get(manifest).map(|(_, verdict)| verdict.clone());
-                if pinned.is_none() {
-                    // First sighting: adopt the verdict as this daemon's
-                    // pin so later edits under watch have something to
-                    // drift against even without a pre-seeded baseline.
-                    pins.insert(manifest.to_string(), (digest, row.verdict.clone()));
-                }
-                pinned
-            };
+            let mut names = self.names.lock().unwrap();
+            if !names.contains_key(manifest) {
+                names.insert(manifest.to_string(), NameRow::default());
+            }
+            let name = names.get_mut(manifest).expect("row inserted above");
+            // First sighting: adopt the verdict as this daemon's pin so
+            // later edits under watch have something to drift against
+            // even without a pre-seeded baseline.
+            let pinned = name.pin.clone();
+            name.pin.get_or_insert_with(|| row.verdict.clone());
             drift = pinned
                 .as_ref()
                 .is_some_and(|verdict| *verdict != row.verdict);
+            name.verified = Some(RollupRow {
+                digest,
+                verdict: row.verdict.clone(),
+                drift,
+                cached: row.cached,
+            });
+            drop(names);
             if drift {
                 self.registry.counter_add("serve.drift_detected", 1);
                 self.record(
@@ -482,16 +498,6 @@ impl Service {
                     ],
                 );
             }
-            self.rollup.lock().unwrap().insert(
-                manifest.to_string(),
-                RollupRow {
-                    digest,
-                    verdict: row.verdict.clone(),
-                    baseline: pinned,
-                    drift,
-                    cached: row.cached,
-                },
-            );
         }
         self.record(
             "check",
@@ -598,11 +604,12 @@ impl Service {
     }
 
     fn fleet_doc(&self) -> Json {
-        let rollup = self.rollup.lock().unwrap();
+        let names = self.names.lock().unwrap();
+        let rollup: Vec<&RollupRow> = names.values().filter_map(|n| n.verified.as_ref()).collect();
         let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut cached = 0u64;
         let mut drifted = 0u64;
-        for row in rollup.values() {
+        for row in &rollup {
             *counts.entry(row.verdict.label()).or_default() += 1;
             cached += u64::from(row.cached);
             drifted += u64::from(row.drift);
@@ -624,7 +631,7 @@ impl Service {
             ("drifted", Json::Num(drifted as f64)),
             (
                 "clean",
-                Json::Bool(rollup.values().all(|r| r.verdict.is_pass() && !r.drift)),
+                Json::Bool(rollup.iter().all(|r| r.verdict.is_pass() && !r.drift)),
             ),
         ])
     }
@@ -634,19 +641,22 @@ impl Service {
     /// the aggregate coverage fraction over all *known* manifests
     /// (pinned or verified).
     pub fn coverage_doc(&self) -> Json {
-        let rollup = self.rollup.lock().unwrap();
-        let pins = self.pins.lock().unwrap();
-        let known: BTreeSet<&String> = pins.keys().chain(rollup.keys()).collect();
-        let drifted = rollup.values().filter(|r| r.drift).count();
-        let coverage = if known.is_empty() {
+        let names = self.names.lock().unwrap();
+        let verified = names.values().filter(|n| n.verified.is_some()).count();
+        let pinned = names.values().filter(|n| n.pin.is_some()).count();
+        let drifted = names
+            .values()
+            .filter(|n| n.verified.as_ref().is_some_and(|r| r.drift))
+            .count();
+        let coverage = if names.is_empty() {
             1.0
         } else {
-            rollup.len() as f64 / known.len() as f64
+            verified as f64 / names.len() as f64
         };
-        let rows: Vec<Json> = known
+        let rows: Vec<Json> = names
             .iter()
-            .map(|manifest| {
-                let row = rollup.get(*manifest);
+            .map(|(manifest, name)| {
+                let row = name.verified.as_ref();
                 Json::obj([
                     ("manifest", Json::str(manifest.as_str())),
                     (
@@ -662,12 +672,9 @@ impl Service {
                     ),
                     (
                         "baseline",
-                        match pins.get(*manifest) {
-                            Some((_, verdict)) => Json::str(verdict.label()),
-                            None => row
-                                .and_then(|r| r.baseline.as_ref())
-                                .map_or(Json::Null, |v| Json::str(v.label())),
-                        },
+                        name.pin
+                            .as_ref()
+                            .map_or(Json::Null, |v| Json::str(v.label())),
                     ),
                     ("drift", Json::Bool(row.is_some_and(|r| r.drift))),
                     ("verified", Json::Bool(row.is_some())),
@@ -677,9 +684,9 @@ impl Service {
         Json::obj([
             ("schema", Json::str(SERVE_SCHEMA)),
             ("kind", Json::str("coverage")),
-            ("manifests", Json::Num(known.len() as f64)),
-            ("verified", Json::Num(rollup.len() as f64)),
-            ("pinned", Json::Num(pins.len() as f64)),
+            ("manifests", Json::Num(names.len() as f64)),
+            ("verified", Json::Num(verified as f64)),
+            ("pinned", Json::Num(pinned as f64)),
             ("drifted", Json::Num(drifted as f64)),
             (
                 "coverage",
@@ -845,7 +852,14 @@ mod tests {
             memo_hit.get("verdict").and_then(Json::as_str),
             Some("nondeterministic")
         );
-        assert_eq!(verdict_parts(&memo_hit), verdict_parts(&store_hit));
+        // The memo answers for the byte-identical source the cold run
+        // analyzed, so it returns that run's document; the store hit
+        // anchors the same verdict's diagnostics on the reordered source.
+        assert_eq!(verdict_parts(&memo_hit), verdict_parts(&cold));
+        assert_eq!(
+            verdict_parts(&memo_hit)[..3],
+            verdict_parts(&store_hit)[..3]
+        );
         assert!(memo_hit
             .get("diagnostics")
             .is_some_and(|d| matches!(d, Json::Arr(items) if !items.is_empty())));

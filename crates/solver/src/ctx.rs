@@ -296,13 +296,8 @@ impl Ctx {
         children.sort();
         children.dedup();
         // Complement detection: x and ¬x together.
-        let set: std::collections::HashSet<Formula> = children.iter().copied().collect();
-        for &c in &children {
-            if let FNode::Not(inner) = self.fnodes[c.0 as usize] {
-                if set.contains(&inner) {
-                    return self.ff();
-                }
-            }
+        if self.has_complement(&children) {
+            return self.ff();
         }
         match children.len() {
             0 => self.tt(),
@@ -330,19 +325,22 @@ impl Ctx {
         }
         children.sort();
         children.dedup();
-        let set: std::collections::HashSet<Formula> = children.iter().copied().collect();
-        for &c in &children {
-            if let FNode::Not(inner) = self.fnodes[c.0 as usize] {
-                if set.contains(&inner) {
-                    return self.tt();
-                }
-            }
+        if self.has_complement(&children) {
+            return self.tt();
         }
         match children.len() {
             0 => self.ff(),
             1 => children[0],
             _ => self.intern_f(FNode::Or(children.into_boxed_slice())),
         }
+    }
+
+    /// Whether sorted, deduplicated `children` hold some `x` and `¬x`.
+    fn has_complement(&self, children: &[Formula]) -> bool {
+        children.iter().any(|&c| match self.fnodes[c.0 as usize] {
+            FNode::Not(inner) => children.binary_search(&inner).is_ok(),
+            _ => false,
+        })
     }
 
     /// If-then-else on formulas.
@@ -383,19 +381,21 @@ impl Ctx {
         // `and` canonicalize away evaluation order, so commuting resource
         // orders reconverge to *structurally identical* states — the
         // property the explorer's state cache and output dedup feed on.
+        // Children of an `and` are sorted, so membership and the subset
+        // test are a binary search and one merge, not a scan per child.
         let factored = |ctx: &Ctx, whole: Formula, part: Formula| -> Option<Vec<Formula>> {
             let FNode::And(cs) = &ctx.fnodes[whole.0 as usize] else {
                 return None;
             };
-            if cs.contains(&part) {
+            if cs.binary_search(&part).is_ok() {
                 return Some(cs.iter().copied().filter(|&x| x != part).collect());
             }
             // `part` may itself be a conjunction that `whole` extends
             // (n-ary `and` flattens, so the handle of the smaller
             // conjunction never appears verbatim among the children).
             if let FNode::And(ps) = &ctx.fnodes[part.0 as usize] {
-                if ps.len() < cs.len() && ps.iter().all(|p| cs.contains(p)) {
-                    return Some(cs.iter().copied().filter(|x| !ps.contains(x)).collect());
+                if ps.len() < cs.len() {
+                    return sorted_difference(cs, ps);
                 }
             }
             None
@@ -1119,6 +1119,23 @@ impl ModelView {
     pub fn sat_model(&self) -> &Model {
         &self.model
     }
+}
+
+/// `whole` minus `part` when sorted `part` is a subset of sorted `whole`,
+/// by one merge; `None` otherwise.
+fn sorted_difference(whole: &[Formula], part: &[Formula]) -> Option<Vec<Formula>> {
+    let mut rest = Vec::with_capacity(whole.len() - part.len());
+    let mut wanted = part.iter().peekable();
+    for &x in whole {
+        match wanted.peek() {
+            Some(&&p) if p == x => {
+                wanted.next();
+            }
+            Some(&&p) if p < x => return None,
+            _ => rest.push(x),
+        }
+    }
+    wanted.peek().is_none().then_some(rest)
 }
 
 #[cfg(test)]

@@ -422,6 +422,56 @@ fn baseline_alone_replays_the_metadata_suite() {
     assert_eq!((c.deterministic, c.nondeterministic), (3, 3));
 }
 
+/// A verdict answered by a graph-key cache hit or a baseline replay
+/// reports its diagnostics on the lines of the source that was asked
+/// about, not those of the source first analyzed: with five blank lines
+/// prepended to `ntp-nondet.pp`, the race moves from line 7 to line 12.
+#[test]
+fn hits_and_replays_anchor_diagnostics_on_the_edited_source() {
+    let source = SUITE
+        .iter()
+        .find(|b| b.name == "ntp-nondet")
+        .expect("ntp-nondet is bundled")
+        .source;
+    let job = |source: &str| FleetJob {
+        name: "ntp-nondet.pp".to_string(),
+        source: source.to_string(),
+        platform: Platform::Ubuntu,
+    };
+    let shifted = format!("\n\n\n\n\n{source}");
+    let race_line = |report: &FleetReport| {
+        let race = report.rows[0]
+            .diagnostics
+            .iter()
+            .find(|d| d.code == "R3001")
+            .expect("a race diagnostic");
+        race.span().lo.line
+    };
+    let cold = FleetEngine::new(FleetOptions::default()).run(vec![job(&shifted)]);
+    assert_eq!(race_line(&cold), 12);
+
+    // A graph-key hit in the verdict cache.
+    let path = baseline_file("reanchor");
+    let mut engine = FleetEngine::new(FleetOptions::default())
+        .with_baseline(BaselineStore::open(&path).unwrap());
+    let first = engine.run(vec![job(source)]);
+    assert_eq!(race_line(&first), 7);
+    engine.state().flush().unwrap();
+    let hit = engine.run(vec![job(&shifted)]);
+    // A replay from the baseline alone, in a fresh engine.
+    let mut engine = FleetEngine::new(FleetOptions::default())
+        .with_baseline(BaselineStore::open(&path).unwrap());
+    let replay = engine.run(vec![job(&shifted)]);
+    for (rung, report) in [("cache hit", &hit), ("baseline replay", &replay)] {
+        assert!(report.rows[0].cached, "{rung}: answered without analysis");
+        assert_eq!(race_line(report), 12, "{rung}");
+        assert_eq!(
+            report.rows[0].diagnostics, cold.rows[0].diagnostics,
+            "{rung}: the diagnostics of a cold run"
+        );
+    }
+}
+
 /// The gate passes (exit 0) on a clean fleet.
 #[test]
 fn cli_fleet_passes_clean_fleet() {

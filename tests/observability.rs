@@ -269,10 +269,13 @@ fn disabled_tracing_overhead_is_in_the_noise() {
 }
 
 /// `explore` is attributed to its children: `domain` (the bounded domain
-/// and the initial symbolic state), `search` (the explorer, including its
-/// `solve` calls) and `decode` (the counterexample's initial state). On
-/// logstash-nondet, the slowest pinned manifest, they cover at least 90%
-/// of it. `idempotence` is attributed the same way on hosting, whose
+/// and the initial symbolic state), `search` (the explorer) and `decode`
+/// (the counterexample's initial state); `search` in turn to `commute`
+/// (the partial-order reduction's commutativity masks), `step` (one
+/// resource's symbolic effect and the state's key) and `solve`. On
+/// logstash-nondet, the slowest pinned manifest, each set of children
+/// covers at least 90% of its parent. `idempotence` is attributed the
+/// same way on hosting, whose
 /// three components all certify: `components` (the footprint partition
 /// and each component's sequence) and `certify`.
 #[test]
@@ -281,11 +284,12 @@ fn explore_children_cover_the_explore_span() {
     let source = by_name("logstash-nondet")
         .expect("bundled benchmark")
         .source;
-    assert_children_cover(
-        &verify_traced(source),
-        "explore",
-        &["domain", "search", "decode"],
-    );
+    let snap = verify_traced(source);
+    assert_children_cover(&snap, "explore", &["domain", "search", "decode"]);
+    // The search itself: the commutativity masks partial-order reduction
+    // reads, symbolic steps, and solver calls.
+    let share = assert_children_cover(&snap, "search", &["commute", "step", "solve"]);
+    println!("search children cover {:.1}% of search", share * 100.0);
     // The idempotence phase of a deterministic manifest whose components
     // all certify: partitioning plus the certificates are the whole of it.
     let source = by_name("hosting").expect("bundled benchmark").source;
@@ -297,8 +301,9 @@ fn explore_children_cover_the_explore_span() {
 }
 
 /// Every child of a `parent` span is one of `names`, each name occurs, and
-/// together the children cover at least 90% of the parent's time.
-fn assert_children_cover(snap: &TraceSnapshot, parent: &str, names: &[&str]) {
+/// together the children cover at least 90% of the parent's time, the
+/// share returned.
+fn assert_children_cover(snap: &TraceSnapshot, parent: &str, names: &[&str]) -> f64 {
     let parents: Vec<_> = snap.spans.iter().filter(|s| s.name == parent).collect();
     assert!(!parents.is_empty(), "{parent} span");
     let total: u64 = parents.iter().map(|s| s.dur_us).sum();
@@ -316,4 +321,5 @@ fn assert_children_cover(snap: &TraceSnapshot, parent: &str, names: &[&str]) {
         children * 10 >= total * 9,
         "children of {parent} cover {children} of {total} µs"
     );
+    children as f64 / total as f64
 }
